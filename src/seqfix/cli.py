@@ -84,31 +84,26 @@ class ProblemConfig:
         map_spec = _normalize_map_spec(pid, map_spec)
         if not isinstance(initial, dict):
             raise ConfigError(f"initial must be an object for problem {pid!r}")
-        prefix = tuple(float(v) for v in initial.get("prefix", []))
-        tail = float(initial.get("tail", 0.0))
-        k_max = raw.get("k_max")
-        n_max = raw.get("n_max")
+        prefix = tuple(ensure_finite(v, "initial prefix entry") for v in initial.get("prefix", []))
+        tail = ensure_finite(initial.get("tail", 0.0), "initial tail")
+        k_max = _integer(raw.get("k_max"), "k_max", pid)
+        n_max = _integer(raw.get("n_max"), "n_max", pid)
         base = raw.get("base")
         q0 = raw.get("q0")
         if mode in ("trace", "secelean", "compare"):
-            if k_max is None or int(k_max) < 1:
+            if k_max is None or k_max < 1:
                 raise ConfigError(f"mode {mode!r} needs a positive k_max for problem {pid!r}")
-            k_max = int(k_max)
         if mode == "truncate":
-            if n_max is None or int(n_max) < 1:
+            if n_max is None or n_max < 1:
                 raise ConfigError(f"mode 'truncate' needs a positive n_max for problem {pid!r}")
             if base is None:
                 raise ConfigError(f"mode 'truncate' needs a base point for problem {pid!r}")
-            n_max = int(n_max)
             base = ensure_finite(base, "base")
         if q0 is not None:
             q0 = float(q0)
             if not 0.0 < q0 < 1.0:
                 raise ConfigError(f"q0 must lie in (0, 1) for problem {pid!r}")
-        return cls(pid, map_spec, prefix, tail, tolerance, mode,
-                   k_max=None if k_max is None else int(k_max),
-                   n_max=None if n_max is None else int(n_max),
-                   base=base, q0=q0)
+        return cls(pid, map_spec, prefix, tail, tolerance, mode, k_max=k_max, n_max=n_max, base=base, q0=q0)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -143,6 +138,15 @@ class ProblemConfig:
         raise ConfigError(f"unknown map kind {kind!r}")
 
 
+def _integer(value: object, what: str, pid: str) -> int | None:
+    """``value`` as an int (None stays None); booleans and non-integral numbers are rejected."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer for problem {pid!r}, got {value!r}")
+    return int(value)
+
+
 def _normalize_map_spec(pid: str, spec: object) -> dict:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError(f"map for problem {pid!r} must be an object with exactly one kind")
@@ -151,10 +155,10 @@ def _normalize_map_spec(pid: str, spec: object) -> dict:
         raise ConfigError(f"map parameters for problem {pid!r} must be an object")
     if kind == "linear":
         norm = {
-            "head_coeffs": [float(v) for v in params.get("head_coeffs", [])],
-            "tail_coeff": float(params.get("tail_coeff", 0.0)),
-            "tail_ratio": float(params.get("tail_ratio", 0.0)),
-            "offset": float(params.get("offset", 0.0)),
+            "head_coeffs": [ensure_finite(v, "coefficient") for v in params.get("head_coeffs", [])],
+            "tail_coeff": ensure_finite(params.get("tail_coeff", 0.0), "tail coefficient"),
+            "tail_ratio": ensure_finite(params.get("tail_ratio", 0.0), "tail ratio"),
+            "offset": ensure_finite(params.get("offset", 0.0), "offset"),
         }
         if abs(norm["tail_ratio"]) >= 1.0:
             raise ConfigError(f"linear map for problem {pid!r} needs |tail_ratio| < 1")
@@ -167,14 +171,14 @@ def _normalize_map_spec(pid: str, spec: object) -> dict:
         rule = params.get("rule")
         if rule != "affine":
             raise ConfigError(f"unknown presic rule {rule!r} for problem {pid!r} (supported: 'affine')")
-        coeffs = [float(v) for v in params.get("coeffs", [])]
+        coeffs = [ensure_finite(v, "coefficient") for v in params.get("coeffs", [])]
         if not coeffs:
             raise ConfigError(f"presic map for problem {pid!r} needs nonempty coeffs")
         arity = int(params.get("arity", len(coeffs)))
         if arity != len(coeffs):
             raise ConfigError(f"presic arity must match len(coeffs) for problem {pid!r}")
         return {"presic": {"rule": "affine", "arity": arity, "coeffs": coeffs,
-                           "offset": float(params.get("offset", 0.0))}}
+                           "offset": ensure_finite(params.get("offset", 0.0), "offset")}}
     raise ConfigError(f"unknown map kind {kind!r} for problem {pid!r}")
 
 

@@ -20,7 +20,7 @@ import math
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 from .metrics import dist_p_geom, dist_sup_geom
@@ -40,6 +40,23 @@ class SeqMap(ABC):
     def diagonal(self, t: float) -> float:
         """Value on the constant sequence (t, t, ...)."""
         return self.eval(BoundedSeq.constant(t))
+
+    def truncation(self, n: int, base: float) -> FiniteArityMap:
+        """The arity-n map that freezes every coordinate from index ``n`` on at ``base``.
+
+        Contract, for every override: the rule's value at ``args`` equals
+        ``self.eval(BoundedSeq(args, base))`` bit for bit, and a non-finite
+        argument raises ``ValueError``. The ``lipschitz_hint`` of the result
+        is a max-metric Lipschitz constant of the truncation, or None when
+        the map cannot supply one. This default evaluates through
+        ``BoundedSeq`` and supplies no hint. :func:`truncate` validates
+        ``n``, ``base`` and the domain before calling it.
+        """
+
+        def rule(*args: float) -> float:
+            return self.eval(BoundedSeq(args, base))
+
+        return FiniteArityMap(n, rule)
 
     def _check_domain(self, x: BoundedSeq) -> None:
         if self.domain is not None:
@@ -104,21 +121,65 @@ class LinearSeqMap(SeqMap):
             acc += self.coeff_at(n) * x.prefix[n]
         return acc + x.tail * self.tail_sum_from(m)
 
+    def _weight_underflows(self, q: float) -> bool:
+        """Whether q**k is 0.0 at the deepest index a closed form divides by.
+
+        That index is the last nonzero head coefficient, or the first tail
+        index when the tail is nonzero; q**k only shrinks with k, so one
+        test covers every term. Zero coefficients are skipped by the sums.
+        """
+        if self.tail_coeff != 0.0:
+            deepest = len(self.head_coeffs)
+        else:
+            deepest = max((k for k, b in enumerate(self.head_coeffs) if b != 0.0), default=0)
+        return q**deepest == 0.0
+
+    def truncation(self, n: int, base: float) -> FiniteArityMap:
+        """Arity-n truncation from precomputed coefficient and tail tables.
+
+        Bit for bit the arithmetic of :meth:`eval` on ``BoundedSeq(args, base)``:
+        arguments are checked finite, trailing arguments equal to ``base``
+        are trimmed as ``BoundedSeq`` trims them, and ``offset + b_i * x_i``
+        is accumulated left to right before ``base * tail_sum_from(m)`` is
+        added. The hint is sum_{k<n} |b_k|.
+        """
+        coeffs = tuple(self.coeff_at(i) for i in range(n))
+        tails = tuple(self.tail_sum_from(m) for m in range(n + 1))
+        offset = self.offset
+        isfinite = math.isfinite
+
+        def rule(*args: float) -> float:
+            for v in args:
+                if not isfinite(v):
+                    raise ValueError(f"sequence entry must be finite, got {v!r}")
+            m = len(args)
+            while m > 0 and args[m - 1] == base:
+                m -= 1
+            acc = offset
+            for i in range(m):
+                acc += coeffs[i] * args[i]
+            return acc + base * tails[m]
+
+        return FiniteArityMap(n, rule, sum(abs(b) for b in coeffs))
+
     def lip_sup(self, q: float) -> float:
         """Lipschitz constant for the q-weighted sup distance: sum_n |b_n| / q**n.
 
         Returns ``inf`` when the series diverges, i.e. when the coefficient
-        tail decays no faster than the weights (|tail_ratio| >= q).
+        tail decays no faster than the weights (|tail_ratio| >= q), and
+        also when q**k underflows to 0.0 at a nonzero coefficient: the true
+        constant then exceeds |b_k| / 5e-324, so ``inf`` is the float that
+        does not understate it.
         """
         q = ensure_finite(q, "q")
         if not 0.0 < q <= 1.0:
             raise ValueError(f"q must lie in (0, 1], got {q}")
         n = len(self.head_coeffs)
-        total = sum(abs(b) / q**k for k, b in enumerate(self.head_coeffs))
+        r = abs(self.tail_ratio)
+        if (self.tail_coeff != 0.0 and r >= q) or self._weight_underflows(q):
+            return math.inf
+        total = sum((abs(b) / q**k for k, b in enumerate(self.head_coeffs) if b != 0.0), 0.0)
         if self.tail_coeff != 0.0:
-            r = abs(self.tail_ratio)
-            if r >= q:
-                return math.inf
             total += (abs(self.tail_coeff) / q**n) / (1.0 - r / q)
         return total
 
@@ -128,7 +189,8 @@ class LinearSeqMap(SeqMap):
         For p = 1 this is sup_n |b_n| / q**n; for p > 1 it is the conjugate
         power sum ``(sum_n |b_n|**(p/(p-1)) / q**(n/(p-1)))**((p-1)/p)``.
         Returns ``inf`` on divergence (|tail_ratio|**p >= q with a nonzero
-        tail). Evaluated in log space so large exponents stay stable.
+        tail), and for p = 1 when q**k underflows at a nonzero coefficient.
+        Evaluated in log space so large exponents stay stable.
         """
         p = ensure_finite(p, "p")
         q = ensure_finite(q, "q")
@@ -139,10 +201,10 @@ class LinearSeqMap(SeqMap):
         n = len(self.head_coeffs)
         r_abs = abs(self.tail_ratio)
         if p == 1.0:
-            best = max((abs(b) / q**k for k, b in enumerate(self.head_coeffs)), default=0.0)
+            if (self.tail_coeff != 0.0 and r_abs > q) or self._weight_underflows(q):
+                return math.inf
+            best = max((abs(b) / q**k for k, b in enumerate(self.head_coeffs) if b != 0.0), default=0.0)
             if self.tail_coeff != 0.0:
-                if r_abs > q:
-                    return math.inf
                 best = max(best, abs(self.tail_coeff) / q**n)
             return best
         conj = p / (p - 1.0)
@@ -189,6 +251,10 @@ class SupHalfMap(SeqMap):
         self._check_domain(x)
         return 0.5 * max(x.values())
 
+    def truncation(self, n: int, base: float) -> FiniteArityMap:
+        """The default truncation, with max-metric Lipschitz hint 1/2."""
+        return replace(super().truncation(n, base), lipschitz_hint=0.5)
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteArityMap:
@@ -228,6 +294,10 @@ class EmbeddedMap(SeqMap):
     def eval(self, x: BoundedSeq) -> float:
         return self.finite_map(*x.head(self.finite_map.arity))
 
+    def truncation(self, n: int, base: float) -> FiniteArityMap:
+        """The default truncation, with the embedded map's own Lipschitz hint."""
+        return replace(super().truncation(n, base), lipschitz_hint=self.finite_map.lipschitz_hint)
+
 
 def embed_finite(g: FiniteArityMap) -> EmbeddedMap:
     """Extend an m-tuple map to sequences by reading the first m coordinates.
@@ -239,22 +309,14 @@ def embed_finite(g: FiniteArityMap) -> EmbeddedMap:
     return EmbeddedMap(g)
 
 
-def _truncation_hint(f: SeqMap, n: int) -> float | None:
-    if isinstance(f, LinearSeqMap):
-        return sum(abs(f.coeff_at(k)) for k in range(n))
-    if isinstance(f, SupHalfMap):
-        return 0.5
-    if isinstance(f, EmbeddedMap):
-        return f.finite_map.lipschitz_hint
-    return None
-
-
 def truncate(f: SeqMap, n: int, base: float) -> FiniteArityMap:
     """Freeze all coordinates of ``f`` from index ``n`` on at ``base``.
 
     The result is an arity-n map; its max-metric Lipschitz constant never
     exceeds any sup-distance Lipschitz constant of ``f``, and the hint is
-    filled in exactly where it can be computed.
+    filled in exactly where it can be computed. Checks ``n``, ``base`` and
+    the map's domain, then delegates to :meth:`SeqMap.truncation`, whose
+    rule equals ``f.eval(BoundedSeq(args, base))`` bit for bit.
     """
     if n < 1:
         raise ValueError(f"truncation arity must be >= 1, got {n}")
@@ -264,10 +326,7 @@ def truncate(f: SeqMap, n: int, base: float) -> FiniteArityMap:
         if not lo <= base <= hi:
             raise ValueError(f"base point {base} outside map domain [{lo}, {hi}]")
 
-    def rule(*args: float) -> float:
-        return f.eval(BoundedSeq(args, base))
-
-    return FiniteArityMap(n, rule, _truncation_hint(f, n))
+    return f.truncation(n, base)
 
 
 def _sgn(v: float) -> float:
@@ -297,18 +356,34 @@ def _random_seq(rng: random.Random, lo: float, hi: float) -> BoundedSeq:
 
 
 def _linear_witnesses(f: LinearSeqMap, q: float, p: float | None, depth: int) -> Iterator[BoundedSeq]:
-    """Near-extremal inputs realizing the analytic constants on truncations."""
-    if p is None:
-        yield BoundedSeq(tuple(_sgn(f.coeff_at(k)) / q**k for k in range(depth + 1)), 0.0)
-    elif p == 1.0:
+    """Near-extremal inputs realizing the analytic constants on truncations.
+
+    The sup (p None) and power (p > 1) witnesses put 0.0 at zero
+    coefficients and end before the first coordinate that is not a finite
+    float, because its weight q**k underflowed; a shorter witness still
+    bounds the constant from below.
+    """
+    if p == 1.0:
         for k in range(depth + 1):
             yield BoundedSeq((0.0,) * k + (1.0,), 0.0)
-    else:
-        yield BoundedSeq(
-            tuple(_sgn(f.coeff_at(k)) * (abs(f.coeff_at(k)) / q**k) ** (1.0 / (p - 1.0))
-                  for k in range(depth + 1)),
-            0.0,
-        )
+        return
+    entries: list[float] = []
+    for k in range(depth + 1):
+        b = f.coeff_at(k)
+        if b == 0.0:
+            entries.append(0.0)
+            continue
+        w = q**k
+        if w == 0.0:
+            break
+        try:
+            v = _sgn(b) / w if p is None else _sgn(b) * (abs(b) / w) ** (1.0 / (p - 1.0))
+        except OverflowError:
+            break
+        if not math.isfinite(v):
+            break
+        entries.append(v)
+    yield BoundedSeq(tuple(entries), 0.0)
 
 
 def empirical_lip_lower_bound(

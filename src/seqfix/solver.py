@@ -13,6 +13,7 @@ before iterating and certify the result.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .maps import EmbeddedMap, FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, embed_finite, truncate
@@ -152,17 +153,28 @@ def generalized_iterates(
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    value, x1 = lift_step(f, x0)
+    d1 = cert.gap(x1, x0) if cert is not None else None
+    return _iterates_from(f, value, x1, d1, k_max, cert)
+
+
+def _iterates_from(
+    f: SeqMap,
+    value: float,
+    x1: BoundedSeq,
+    d1: float | None,
+    k_max: int,
+    cert: ContractionCertificate | None,
+) -> IterationTrace:
+    """The trace of :func:`generalized_iterates`, given its first step ``(value, x1)`` and d1."""
     steps: list[TraceStep] = []
-    d1: float | None = None
-    cur = x0
+    cur = x1
     for k in range(1, k_max + 1):
-        value, nxt = lift_step(f, cur)
-        if k == 1 and cert is not None:
-            d1 = cert.gap(nxt, cur)
+        if k > 1:
+            value, cur = lift_step(f, cur)
         residual = abs(f.diagonal(value) - value)
         bound = cert.a_priori_bound(k, d1) if cert is not None else None
         steps.append(TraceStep(k, value, bound, residual))
-        cur = nxt
     return IterationTrace(tuple(steps), d1)
 
 
@@ -291,10 +303,10 @@ def solve_fixed_point(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    _, x1 = lift_step(f, x0)
+    value, x1 = lift_step(f, x0)
     d1 = cert.gap(x1, x0)
     k = _smallest_k(cert, d1, tol)
-    trace = generalized_iterates(f, x0, k, cert)
+    trace = _iterates_from(f, value, x1, d1, k, cert)
     last = trace.steps[-1]
     c = cert.diagonal_lip()
     allowance = tol * (1.0 + c) / (1.0 - c)
@@ -365,12 +377,12 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
         raise ValueError(f"expected {g.arity} seeds, got {len(seeds)}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    history = [ensure_finite(s, "seed") for s in seeds]
+    # newest first; appendleft drops the oldest value, so no step copies the history
+    window = deque(reversed([ensure_finite(s, "seed") for s in seeds]), maxlen=g.arity)
     out: list[float] = []
     for _ in range(k_max):
-        window = tuple(reversed(history[-g.arity:]))
         value = g(*window)
-        history.append(value)
+        window.appendleft(value)
         out.append(value)
     return out
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import seqfix
 from seqfix import BoundViolationError, IterationTrace, TraceStep
 from seqfix.cli import (
     EXIT_BOUND_VIOLATION,
@@ -154,6 +159,43 @@ def test_config_errors_exit_1(tmp_path, capsys):
     bad_value = write_config(tmp_path, [problem("x", "solve", tolerance="tiny")], name="badvalue.json")
     assert run(bad_value, str(tmp_path / "o4")) == EXIT_CONFIG
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry", [
+    problem("nan-prefix", "solve", initial={"prefix": [0.5, float("nan")], "tail": 0.0}),
+    problem("inf-tail", "solve", initial={"prefix": [], "tail": float("inf")}),
+    problem("nan-coeff", "solve", map={"linear": {"head_coeffs": [float("nan")]}}),
+    problem("fractional-k-max", "trace", k_max=1.7),
+    problem("fractional-n-max", "truncate", n_max=2.5, base=0.0),
+    problem("bool-k-max", "trace", k_max=True),
+    problem("inf-k-max", "trace", k_max=float("inf")),
+], ids=lambda entry: entry["id"])
+def test_malformed_values_exit_1(tmp_path, capsys, entry):
+    config = write_config(tmp_path, [entry])
+    assert run(config, str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integral_counts_parse_as_ints():
+    [entry] = parse_config(json.dumps({"problems": [problem("a", "trace", k_max=3.0)]}))
+    assert entry.k_max == 3 and isinstance(entry.k_max, int)
+
+
+def test_certify_survives_underflowing_weights(tmp_path):
+    # sum |b| = 0.5, but q**k underflows across the 399 zero coefficients
+    sparse = {"linear": {"head_coeffs": [0.5] + [0.0] * 399, "tail_coeff": 0.0,
+                         "tail_ratio": 0.0, "offset": 1.0}}
+    config = write_config(tmp_path, [problem("sparse", "certify", map=sparse, q0=0.1)])
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "Traceback" not in done.stderr
+    rows = (tmp_path / "out" / "sparse.csv").read_text().splitlines()
+    assert rows[1].startswith("sup,0.5,,0.5,")
+    assert rows[2].startswith("p,")
 
 
 def test_uncertifiable_solve_exits_2(tmp_path, capsys):

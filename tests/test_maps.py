@@ -12,6 +12,7 @@ from seqfix import (
     dist_sup_geom,
     embed_finite,
     empirical_lip_lower_bound,
+    find_sup_certificate,
     truncate,
 )
 
@@ -149,6 +150,59 @@ def test_lip_p_degenerate_and_divergent():
     assert f.lip_p(1.0, 0.5) == math.inf  # |rho| > q
     # |rho| == q: every tail term equals 1, the sup stays finite
     assert LinearSeqMap((), 1.0, 0.5).lip_p(1.0, 0.5) == 1.0
+
+
+# 0.5 * x_0 with 399 zero coefficients behind it: q**k underflows inside the head
+SPARSE = LinearSeqMap((0.5,) + (0.0,) * 399)
+
+
+def unguarded_lip_sup(f, q):
+    """The sup-family closed form summed over every coefficient, zeros included."""
+    total = sum(abs(b) / q**k for k, b in enumerate(f.head_coeffs))
+    if f.tail_coeff != 0.0:
+        r = abs(f.tail_ratio)
+        if r >= q:
+            return math.inf
+        total += (abs(f.tail_coeff) / q ** len(f.head_coeffs)) / (1.0 - r / q)
+    return total
+
+
+def test_lip_constants_skip_zero_coefficients_past_underflow():
+    for q in (0.9, 0.1, 1e-6, 1e-300):
+        assert SPARSE.lip_sup(q) == 0.5
+        assert SPARSE.lip_p(1.0, q) == 0.5
+    assert SPARSE.lip_p(2.0, 1e-6) == pytest.approx(0.5, rel=1e-15)
+    assert find_sup_certificate(SPARSE).lip == 0.5
+
+
+def test_lip_constants_are_inf_when_a_weight_underflows():
+    deep_head = LinearSeqMap((0.5,) + (0.0,) * 398 + (1e-3,))
+    deep_tail = LinearSeqMap((0.0,) * 400, 0.1, 0.05)
+    for f in (deep_head, deep_tail):
+        assert f.lip_sup(0.1) == math.inf
+        assert f.lip_p(1.0, 0.1) == math.inf
+        assert f.lip_sup(0.9) == unguarded_lip_sup(f, 0.9)
+
+
+def test_lip_sup_is_unchanged_where_no_weight_underflows():
+    rng = random.Random(29)
+    for _ in range(200):
+        f = random_linear(rng, ratio_span=0.3)
+        head = tuple(b if rng.random() < 0.5 else 0.0 for b in f.head_coeffs) + (0.0,) * rng.randrange(3)
+        f = LinearSeqMap(head, rng.choice((0.0, f.tail_coeff)), f.tail_ratio, f.offset)
+        q = rng.uniform(0.05, 1.0)
+        assert f.lip_sup(q) == unguarded_lip_sup(f, q)
+
+
+def test_empirical_bound_survives_underflowing_weights():
+    assert empirical_lip_lower_bound(SPARSE, 1e-6) == 0.5
+    assert empirical_lip_lower_bound(SPARSE, 1e-6, p=2.0) == pytest.approx(0.5, rel=1e-15)
+    # witness coordinates 1/q**k overflow from k = 52 on: the witness stops there
+    low = empirical_lip_lower_bound(RECUR, 1e-6)
+    assert 0.0 < low < math.inf == RECUR.lip_sup(1e-6)
+    deep = LinearSeqMap((0.0,) * 60 + (0.5,))
+    for p in (None, 1.5, 2.0):
+        assert math.isfinite(empirical_lip_lower_bound(deep, 1e-6, p=p))
 
 
 def test_lip_p_matches_series():

@@ -253,6 +253,20 @@ def test_solve_fixed_point_starting_at_solution():
     assert abs(sol.value - 3.0) <= 1e-10
 
 
+def test_solve_lifts_once_per_iterate(monkeypatch):
+    calls = []
+
+    def counting_lift(f, x):
+        calls.append(x)
+        return lift_step(f, x)
+
+    x0 = BoundedSeq((0.5, -1.0), 2.0)
+    monkeypatch.setattr("seqfix.solver.lift_step", counting_lift)
+    sol = solve_fixed_point(RECUR, x0, RECUR_CERT, 1e-6)
+    assert len(calls) == sol.k_used
+    assert sol.trace == generalized_iterates(RECUR, x0, sol.k_used, RECUR_CERT)
+
+
 def test_solve_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         solve_fixed_point(RECUR, ZERO, RECUR_CERT, 0.0)
