@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -79,8 +80,8 @@ class ProblemConfig:
             raise ConfigError(f"problem id must match {_ID_PATTERN.pattern}, got {pid!r}")
         if mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r} for problem {pid!r}")
-        if not tolerance > 0.0:
-            raise ConfigError(f"tolerance must be positive for problem {pid!r}")
+        if not 0.0 < tolerance < math.inf:
+            raise ConfigError(f"tolerance must be positive and finite for problem {pid!r}")
         map_spec = _normalize_map_spec(pid, map_spec)
         if not isinstance(initial, dict):
             raise ConfigError(f"initial must be an object for problem {pid!r}")
@@ -174,7 +175,7 @@ def _normalize_map_spec(pid: str, spec: object) -> dict:
         coeffs = [ensure_finite(v, "coefficient") for v in params.get("coeffs", [])]
         if not coeffs:
             raise ConfigError(f"presic map for problem {pid!r} needs nonempty coeffs")
-        arity = int(params.get("arity", len(coeffs)))
+        arity = _integer(params.get("arity", len(coeffs)), "presic arity", pid)
         if arity != len(coeffs):
             raise ConfigError(f"presic arity must match len(coeffs) for problem {pid!r}")
         return {"presic": {"rule": "affine", "arity": arity, "coeffs": coeffs,

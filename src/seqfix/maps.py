@@ -138,10 +138,12 @@ class LinearSeqMap(SeqMap):
         """Arity-n truncation from precomputed coefficient and tail tables.
 
         Bit for bit the arithmetic of :meth:`eval` on ``BoundedSeq(args, base)``:
-        arguments are checked finite, trailing arguments equal to ``base``
-        are trimmed as ``BoundedSeq`` trims them, and ``offset + b_i * x_i``
-        is accumulated left to right before ``base * tail_sum_from(m)`` is
-        added. The hint is sum_{k<n} |b_k|.
+        trailing arguments equal to ``base`` are trimmed as ``BoundedSeq``
+        trims them, and ``offset + b_i * x_i`` is accumulated left to right
+        before ``base * tail_sum_from(m)`` is added. A non-finite argument
+        makes the sum non-finite, so the arguments are scanned for one only
+        then; a sum that overflows from finite arguments is returned for
+        :class:`FiniteArityMap` to reject. The hint is sum_{k<n} |b_k|.
         """
         coeffs = tuple(self.coeff_at(i) for i in range(n))
         tails = tuple(self.tail_sum_from(m) for m in range(n + 1))
@@ -149,16 +151,18 @@ class LinearSeqMap(SeqMap):
         isfinite = math.isfinite
 
         def rule(*args: float) -> float:
-            for v in args:
-                if not isfinite(v):
-                    raise ValueError(f"sequence entry must be finite, got {v!r}")
             m = len(args)
             while m > 0 and args[m - 1] == base:
                 m -= 1
             acc = offset
-            for i in range(m):
-                acc += coeffs[i] * args[i]
-            return acc + base * tails[m]
+            for c, v in zip(coeffs, args[:m]):
+                acc += c * v
+            acc += base * tails[m]
+            if not isfinite(acc):
+                for v in args:
+                    if not isfinite(v):
+                        raise ValueError(f"sequence entry must be finite, got {v!r}")
+            return acc
 
         return FiniteArityMap(n, rule, sum(abs(b) for b in coeffs))
 
@@ -189,8 +193,9 @@ class LinearSeqMap(SeqMap):
         For p = 1 this is sup_n |b_n| / q**n; for p > 1 it is the conjugate
         power sum ``(sum_n |b_n|**(p/(p-1)) / q**(n/(p-1)))**((p-1)/p)``.
         Returns ``inf`` on divergence (|tail_ratio|**p >= q with a nonzero
-        tail), and for p = 1 when q**k underflows at a nonzero coefficient.
-        Evaluated in log space so large exponents stay stable.
+        tail), for p = 1 when q**k underflows at a nonzero coefficient, and
+        when the constant exceeds the float range. Evaluated in log space so
+        large exponents stay stable.
         """
         p = ensure_finite(p, "p")
         q = ensure_finite(q, "q")
@@ -226,7 +231,12 @@ class LinearSeqMap(SeqMap):
         total = sum(math.exp(v - top) for v in logs if v != tail_log)
         if tail_log is not None:
             total += math.exp(tail_log - top) / (1.0 - tail_step)
-        return math.exp(top / conj) * total ** (1.0 / conj)
+        try:
+            scale_out = math.exp(top / conj)
+        except OverflowError:
+            # total >= 1, so the constant is at least this overflowing factor
+            return math.inf
+        return scale_out * total ** (1.0 / conj)
 
     def fixed_point(self) -> float:
         """The unique value t with f(t, t, ...) = t: offset / (1 - sum_n b_n)."""
@@ -259,6 +269,10 @@ class SupHalfMap(SeqMap):
 @dataclass(frozen=True, eq=False)
 class FiniteArityMap:
     """A map on m-tuples of reals.
+
+    ``rule`` must be deterministic: equal arguments, bit for bit, give the
+    same value. The Prešić recursion relies on this to stop once its window
+    holds one value that the rule maps to itself.
 
     ``lipschitz_hint`` is a caller-supplied Lipschitz constant with respect
     to the maximum metric on tuples; it is consumed for certification and
@@ -343,8 +357,8 @@ def _map_gap(f: SeqMap, a: BoundedSeq, b: BoundedSeq) -> float:
     if isinstance(f, LinearSeqMap):
         m = max(len(a.prefix), len(b.prefix))
         acc = 0.0
-        for n in range(m):
-            acc += f.coeff_at(n) * (a.at(n) - b.at(n))
+        for n, (u, v) in enumerate(zip(a.head(m), b.head(m))):
+            acc += f.coeff_at(n) * (u - v)
         acc += (a.tail - b.tail) * f.tail_sum_from(m)
         return abs(acc)
     return abs(f.eval(a) - f.eval(b))

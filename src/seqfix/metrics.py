@@ -90,13 +90,17 @@ def dist_sup_weighted(x: BoundedSeq, y: BoundedSeq, w: WeightSeq) -> float:
     Explicit max over every index where either the sequences or the weight
     head vary; beyond that the coordinate distance is constant and the
     weights are nonincreasing, so the tail contributes its first weight.
+    The entries of a ``BoundedSeq`` are finite floats already, so they are
+    read without validating them again.
     """
     if not validate_sup_weights(w):
         raise ValueError("weights do not define a sup-type metric (need positive head, ratio in (0, 1])")
     m = max(len(x.prefix), len(y.prefix), len(w.head))
-    best = w.at(m) * base_dist(x.tail, y.tail)
-    for n in range(m):
-        best = max(best, w.at(n) * base_dist(x.at(n), y.at(n)))
+    best = w.at(m) * abs(x.tail - y.tail)
+    for n, (a, b) in enumerate(zip(x.head(m), y.head(m))):
+        v = w.at(n) * abs(a - b)
+        if v > best:
+            best = v
     return best
 
 
@@ -113,9 +117,10 @@ def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> flo
     if not validate_p_weights(w):
         raise ValueError("weights do not define a p-type metric (need positive head, ratio in (0, 1))")
     m = max(len(x.prefix), len(y.prefix), len(w.head))
-    d_tail = base_dist(x.tail, y.tail)
-    scaled = [w.at(n) ** (1.0 / p) * base_dist(x.at(n), y.at(n)) for n in range(m)]
-    tail_anchor = w.at(m) ** (1.0 / p) * d_tail
+    inv_p = 1.0 / p
+    d_tail = abs(x.tail - y.tail)
+    scaled = [w.at(n) ** inv_p * abs(a - b) for n, (a, b) in enumerate(zip(x.head(m), y.head(m)))]
+    tail_anchor = w.at(m) ** inv_p * d_tail
     top = max(scaled + [tail_anchor])
     if top == 0.0:
         return 0.0

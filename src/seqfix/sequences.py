@@ -57,12 +57,30 @@ class BoundedSeq:
         return self.prefix[n] if n < len(self.prefix) else self.tail
 
     def head(self, n: int) -> tuple[float, ...]:
-        """The first ``n`` coordinates."""
-        return tuple(self.at(i) for i in range(n))
+        """The first ``n`` coordinates: the prefix, padded with the tail as needed."""
+        pad = n - len(self.prefix)
+        return self.prefix[:max(n, 0)] if pad <= 0 else self.prefix + (self.tail,) * pad
 
     def prepend(self, value: float) -> BoundedSeq:
-        """New sequence with ``value`` at index 0 and everything shifted right."""
-        return BoundedSeq((value,) + self.prefix, self.tail)
+        """New sequence with ``value`` at index 0 and everything shifted right.
+
+        Only ``value`` is validated: the shifted prefix is already canonical
+        and keeps its last entry, so the result is canonical as it stands,
+        except that ``value`` equal to the tail of a constant sequence is
+        trimmed away, leaving that sequence.
+        """
+        v = ensure_finite(value, "sequence entry")
+        if not self.prefix and v == self.tail:
+            return self
+        return BoundedSeq._trusted((v,) + self.prefix, self.tail)
+
+    @classmethod
+    def _trusted(cls, prefix: tuple[float, ...], tail: float) -> BoundedSeq:
+        """An instance from a prefix and tail that are already finite floats and canonical."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "prefix", prefix)
+        object.__setattr__(seq, "tail", tail)
+        return seq
 
     def values(self) -> tuple[float, ...]:
         """Every value the sequence takes (prefix entries plus the tail)."""

@@ -372,6 +372,11 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
     ``Lip(g) < 1`` for the maximum metric these converge to the unique
     value t with g(t, ..., t) = t, and they coincide exactly with the
     generalized iterates of the embedded map started at the reversed seeds.
+
+    Once g returns the value that fills its whole window, bit for bit
+    (0.0 and -0.0 differ), the recursion is stationary: ``g`` is
+    deterministic, so every later value is that value, and the remaining
+    steps are filled in without calling ``g``.
     """
     if len(seeds) != g.arity:
         raise ValueError(f"expected {g.arity} seeds, got {len(seeds)}")
@@ -379,12 +384,29 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     # newest first; appendleft drops the oldest value, so no step copies the history
     window = deque(reversed([ensure_finite(s, "seed") for s in seeds]), maxlen=g.arity)
+    newest = window[0]
+    run = 1  # length of the run of values bitwise equal to ``newest``, seeds included
+    while run < len(window) and _same_bits(window[run], newest):
+        run += 1
     out: list[float] = []
     for _ in range(k_max):
         value = g(*window)
         window.appendleft(value)
         out.append(value)
+        if _same_bits(value, newest):
+            run += 1
+            if run > g.arity:
+                out += [value] * (k_max - len(out))
+                break
+        else:
+            newest = value
+            run = 1
     return out
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Whether two finite floats are the same float, telling -0.0 from 0.0."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 @dataclass(frozen=True)

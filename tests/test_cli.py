@@ -169,6 +169,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
     problem("fractional-n-max", "truncate", n_max=2.5, base=0.0),
     problem("bool-k-max", "trace", k_max=True),
     problem("inf-k-max", "trace", k_max=float("inf")),
+    problem("inf-tolerance", "solve", tolerance=float("inf")),
+    problem("fractional-presic-arity", "solve",
+            map={"presic": {"rule": "affine", "coeffs": [0.25, 0.25], "arity": 2.7, "offset": 1.0}}),
+    problem("bool-presic-arity", "solve",
+            map={"presic": {"rule": "affine", "coeffs": [0.5], "arity": True, "offset": 1.0}}),
 ], ids=lambda entry: entry["id"])
 def test_malformed_values_exit_1(tmp_path, capsys, entry):
     config = write_config(tmp_path, [entry])
@@ -196,6 +201,20 @@ def test_certify_survives_underflowing_weights(tmp_path):
     rows = (tmp_path / "out" / "sparse.csv").read_text().splitlines()
     assert rows[1].startswith("sup,0.5,,0.5,")
     assert rows[2].startswith("p,")
+
+
+def test_certify_survives_overflowing_power_constant(tmp_path):
+    # at q0 = 1e-300 the p = 2 constant exceeds the float range
+    flat = {"linear": {"head_coeffs": [0.1] * 4, "tail_coeff": 0.0, "tail_ratio": 0.0, "offset": 1.0}}
+    config = write_config(tmp_path, [problem("flat", "certify", map=flat, q0=1e-300)])
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("flat certify OK")
 
 
 def test_uncertifiable_solve_exits_2(tmp_path, capsys):

@@ -12,9 +12,11 @@ from seqfix import (
     dist_sup_geom,
     embed_finite,
     empirical_lip_lower_bound,
+    find_p_certificate,
     find_sup_certificate,
     truncate,
 )
+from seqfix.maps import _map_gap
 
 # the recurring worked example: b_n = 1/(3 * 2^n), offset 1
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
@@ -182,6 +184,14 @@ def test_lip_constants_are_inf_when_a_weight_underflows():
         assert f.lip_sup(0.1) == math.inf
         assert f.lip_p(1.0, 0.1) == math.inf
         assert f.lip_sup(0.9) == unguarded_lip_sup(f, 0.9)
+
+
+def test_lip_p_is_inf_past_the_float_range():
+    # the p = 2 constant at q = 1e-300 is about 1e600 (head) or 1e1200 (tail)
+    for f in (LinearSeqMap((0.1,) * 4), LinearSeqMap((0.1,) * 4, 0.1, 0.0)):
+        assert f.lip_p(2.0, 1e-300) == math.inf
+        assert math.isfinite(f.lip_p(2.0, 1e-100))
+    assert find_p_certificate(LinearSeqMap((0.1,) * 4), 1e-300) is not None
 
 
 def test_lip_sup_is_unchanged_where_no_weight_underflows():
@@ -379,3 +389,24 @@ def test_empirical_witnesses_are_sharp():
         f = random_linear(rng, abs_sum=rng.uniform(0.2, 0.9), ratio_span=0.4)
         lip = f.lip_sup(0.8)
         assert empirical_lip_lower_bound(f, 0.8, trials=10, seed=i) >= 0.99 * lip
+
+
+def map_gap_loop(f, a, b):
+    """_map_gap's linear form as it read every coordinate through at()."""
+    m = max(len(a.prefix), len(b.prefix))
+    acc = 0.0
+    for n in range(m):
+        acc += f.coeff_at(n) * (a.at(n) - b.at(n))
+    acc += (a.tail - b.tail) * f.tail_sum_from(m)
+    return abs(acc)
+
+
+def test_map_gap_is_bit_exact():
+    rng = random.Random(41)
+    for _ in range(500):
+        f = random_linear(rng, ratio_span=0.9)
+        a, b = random_seq(rng, span=rng.choice((1e-300, 2.0, 1e300))), random_seq(rng)
+        if rng.random() < 0.3:
+            b = BoundedSeq(b.prefix, rng.choice((0.0, -0.0)))
+        assert _map_gap(f, a, b).hex() == map_gap_loop(f, a, b).hex()
+        assert _map_gap(f, b, a).hex() == map_gap_loop(f, b, a).hex()

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqfix import (
@@ -251,3 +251,49 @@ def test_large_exponent_approaches_plain_sup():
         for q in (0.5, 0.7):
             values = [dist_p_geom(x, y, float(2**j), q) for j in range(13)]
             assert abs(values[-1] - dist_sup_geom(x, y, 1.0)) <= 1e-3
+
+
+def sup_weighted_loop(x, y, w):
+    """The weighted sup distance as it read every coordinate through at() and base_dist()."""
+    m = max(len(x.prefix), len(y.prefix), len(w.head))
+    best = w.at(m) * base_dist(x.tail, y.tail)
+    for n in range(m):
+        best = max(best, w.at(n) * base_dist(x.at(n), y.at(n)))
+    return best
+
+
+def p_weighted_loop(x, y, p, w):
+    """The weighted power distance as it read every coordinate through at() and base_dist()."""
+    m = max(len(x.prefix), len(y.prefix), len(w.head))
+    d_tail = base_dist(x.tail, y.tail)
+    scaled = [w.at(n) ** (1.0 / p) * base_dist(x.at(n), y.at(n)) for n in range(m)]
+    tail_anchor = w.at(m) ** (1.0 / p) * d_tail
+    top = max(scaled + [tail_anchor])
+    if top == 0.0:
+        return 0.0
+    total = sum((v / top) ** p for v in scaled if v > 0.0)
+    if d_tail > 0.0:
+        total += (tail_anchor / top) ** p / (1.0 - w.ratio)
+    return top * total ** (1.0 / p)
+
+
+# any finite float, so differences may overflow and weights may underflow
+wide = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0]))
+wide_seqs = st.builds(BoundedSeq, st.lists(wide, max_size=6).map(tuple), wide)
+weight_heads = st.lists(st.floats(min_value=1e-300, max_value=1e3), max_size=4).map(tuple)
+
+
+@settings(max_examples=300)
+@given(wide_seqs, wide_seqs, weight_heads, st.floats(min_value=1e-3, max_value=1.0))
+@example(BoundedSeq((1e308,), 0.0), BoundedSeq((-1e308,), 0.0), (), 0.5)
+def test_dist_sup_weighted_is_bit_exact(x, y, head, ratio):
+    w = WeightSeq(head, ratio)
+    assert dist_sup_weighted(x, y, w).hex() == sup_weighted_loop(x, y, w).hex()
+
+
+@settings(max_examples=300)
+@given(wide_seqs, wide_seqs, ps, weight_heads, st.floats(min_value=1e-3, max_value=0.999))
+@example(BoundedSeq((1e308,), 0.0), BoundedSeq((-1e308,), 0.0), 2.0, (), 0.5)
+def test_dist_p_weighted_is_bit_exact(x, y, p, head, ratio):
+    w = WeightSeq(head, ratio)
+    assert dist_p_weighted(x, y, p, w).hex() == p_weighted_loop(x, y, p, w).hex()

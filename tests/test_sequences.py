@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqfix import BoundedSeq
@@ -83,3 +83,34 @@ def test_canonical_form_preserves_pointwise_values(prefix, tail):
     for n in range(len(prefix) + 3):
         expected = prefix[n] if n < len(prefix) else tail
         assert s.at(n) == expected
+
+
+signed = st.one_of(finite, st.sampled_from([0.0, -0.0]))
+signed_seqs = st.builds(BoundedSeq, st.lists(signed, max_size=6).map(tuple), signed)
+
+
+def bits(x):
+    return [v.hex() for v in x.prefix], x.tail.hex()
+
+
+@given(signed_seqs, signed)
+@example(BoundedSeq((), 0.0), -0.0)
+@example(BoundedSeq((), -0.0), 0.0)
+@example(BoundedSeq((), 2.5), 2.5)
+@example(BoundedSeq((-0.0,), 0.0), 0.0)
+def test_prepend_equals_construction(x, v):
+    fast = x.prepend(v)
+    slow = BoundedSeq((v,) + x.prefix, x.tail)
+    assert fast == slow
+    assert bits(fast) == bits(slow)
+
+
+@given(seqs, st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_prepend_rejects_non_finite(x, bad):
+    with pytest.raises(ValueError, match="^sequence entry must be finite"):
+        x.prepend(bad)
+
+
+@given(signed_seqs, st.integers(min_value=-2, max_value=10))
+def test_head_reads_coordinates(x, n):
+    assert x.head(n) == tuple(x.at(i) for i in range(n))

@@ -2,14 +2,13 @@
 
 Each fast path is compared bit for bit (via ``float.hex``, which also tells
 -0.0 from 0.0) with the rule it replaces: ``f.eval(BoundedSeq(args, base))``
-for truncations, and a loop that rebuilds the window from the history for
-the product-space recursion.
+for truncations, and a loop that rebuilds the window from the history, and
+never stops early, for the product-space recursion.
 """
 
 import math
 from dataclasses import replace
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -51,6 +50,18 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def outcome(fn, args):
+    """The value's bits, or the text of the ValueError the call raises."""
+    try:
+        return fn(*args).hex()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def generic_twin(f):
+    return GenericRuleLinear(f.head_coeffs, f.tail_coeff, f.tail_ratio, f.offset)
+
+
 @settings(max_examples=200, deadline=None)
 @given(truncation_cases())
 @example((LinearSeqMap((0.5, -0.25), 0.125, -0.5, 1.0), 4, 2.0, (2.0, 2.0, 2.0, 2.0)))
@@ -63,12 +74,26 @@ def test_linear_truncation_is_bit_exact(case):
     assert fn.lipschitz_hint == sum(abs(f.coeff_at(k)) for k in range(n))
 
 
-@given(truncation_cases(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
-def test_linear_truncation_rejects_non_finite_arguments(case, bad, data):
+@given(truncation_cases(), st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1, max_size=3),
+       st.data())
+def test_linear_truncation_rejects_non_finite_arguments(case, bads, data):
     f, n, base, args = case
-    i = data.draw(st.integers(min_value=0, max_value=n - 1))
-    with pytest.raises(ValueError):
-        truncate(f, n, base)(*args[:i], bad, *args[i + 1:])
+    args = list(args)
+    for bad in bads:
+        args[data.draw(st.integers(min_value=0, max_value=n - 1))] = bad
+    got = outcome(truncate(f, n, base), args)
+    assert got.startswith("ValueError: sequence entry must be finite, got ")
+    assert got == outcome(truncate(generic_twin(f), n, base), args)
+
+
+def affine(coeffs, offset):
+    def rule(*args):
+        acc = offset
+        for c, a in zip(coeffs, args):
+            acc += c * a
+        return acc
+
+    return FiniteArityMap(len(coeffs), rule)
 
 
 def presic_reference(g, seeds, k_max):
@@ -91,14 +116,7 @@ def presic_reference(g, seeds, k_max):
 )))
 def test_presic_window_matches_history_slicing(case):
     coeffs, offset, seeds, k_max = case
-
-    def rule(*args):
-        acc = offset
-        for c, a in zip(coeffs, args):
-            acc += c * a
-        return acc
-
-    g = FiniteArityMap(len(coeffs), rule)
+    g = affine(coeffs, offset)
     assert bits(presic_iterates(g, tuple(seeds), k_max)) == bits(presic_reference(g, seeds, k_max))
 
 
@@ -118,11 +136,83 @@ def test_truncation_study_matches_generic_rule(f, abs_sum, base, n_max):
     if total == 0.0:
         f = LinearSeqMap((abs_sum,), 0.0, 0.0, f.offset)
     else:
-        scale = abs_sum / total
-        f = LinearSeqMap(tuple(b * scale for b in f.head_coeffs), f.tail_coeff * scale, f.tail_ratio, f.offset)
+        # b / total first: abs_sum / total overflows when total is subnormal
+        f = LinearSeqMap(tuple(b / total * abs_sum for b in f.head_coeffs), f.tail_coeff / total * abs_sum,
+                         f.tail_ratio, f.offset)
     cert = find_sup_certificate(f)
     assert cert is not None
     reference = GenericRuleLinear(f.head_coeffs, f.tail_coeff, f.tail_ratio, f.offset)
     fast = truncation_study(f, cert, base, n_max, 1e-6)
     slow = truncation_study(reference, cert, base, n_max, 1e-6)
     assert repr(fast) == repr(slow)
+
+
+huge = st.one_of(st.floats(min_value=1e306, max_value=1.7e308), st.floats(min_value=-1.7e308, max_value=-1e306))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=n, max_size=n),
+    st.lists(huge, min_size=n, max_size=n),
+    st.one_of(huge, st.just(0.0)),
+)))
+@example((2, [0.9, 0.9], [1.7e308, 1.7e308], 0.0))
+def test_linear_truncation_overflow_is_unchanged(case):
+    n, head, args, base = case
+    f = LinearSeqMap(tuple(head), 0.5, 0.5, 1.0)
+    got = outcome(truncate(f, n, base), args)
+    assert got == outcome(truncate(generic_twin(f), n, base), args)
+
+
+def test_linear_truncation_error_messages():
+    # inf at a zero coefficient still makes the sum non-finite (0 * inf is nan)
+    sparse = truncate(LinearSeqMap((0.0, 0.5)), 2, 0.0)
+    assert outcome(sparse, (math.inf, 1.0)) == "ValueError: sequence entry must be finite, got inf"
+    overflow = truncate(LinearSeqMap((0.9, 0.9)), 2, 0.0)
+    assert outcome(overflow, (1.7e308, 1.7e308)) == "ValueError: map value must be finite, got inf"
+
+
+@st.composite
+def contractive_affine(draw):
+    """An affine rule of arity 1-6 with sum |c| < 1, its seeds, and a k_max."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    raw = draw(st.lists(st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.just(-0.0)), min_size=m, max_size=m))
+    mass = draw(st.floats(min_value=0.0, max_value=0.95))
+    total = sum(abs(c) for c in raw)
+    coeffs = [c / total * mass if total > 0.0 else c for c in raw]
+    offset = draw(st.one_of(st.floats(min_value=-2.0, max_value=2.0), st.sampled_from([0.0, -0.0])))
+    seeds = draw(st.lists(st.one_of(st.floats(min_value=-5.0, max_value=5.0), st.sampled_from([0.0, -0.0])),
+                          min_size=m, max_size=m))
+    return coeffs, offset, seeds, draw(st.integers(min_value=0, max_value=3000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(contractive_affine())
+@example(([0.5, 0.25], 1.0, [0.0, 0.0], 3000))
+@example(([0.0], 0.0, [-0.0], 10))
+@example(([0.25, 0.25, 0.25], -0.0, [-0.0, 0.0, -0.0], 40))
+def test_presic_stationary_exit_is_bit_exact(case):
+    coeffs, offset, seeds, k_max = case
+    g = affine(coeffs, offset)
+    assert bits(presic_iterates(g, tuple(seeds), k_max)) == bits(presic_reference(g, seeds, k_max))
+
+
+def test_presic_signed_zero_alternation_is_not_frozen():
+    g = FiniteArityMap(1, lambda a: -0.5 * a)
+    values = presic_iterates(g, (0.0,), 9)
+    assert bits(values) == bits(presic_reference(g, (0.0,), 9))
+    assert bits(values) == bits([-0.0, 0.0] * 4 + [-0.0])
+
+
+def test_presic_stops_calling_the_rule_once_stationary():
+    calls = []
+    inner = affine([0.5, 0.25], 1.0)
+    g = FiniteArityMap(2, lambda *args: calls.append(args) or inner.rule(*args))
+    values = presic_iterates(g, (0.0, 0.0), 3000)
+    t = values[-1]  # the float fixed point, a few ulps from 4
+    assert len(values) == 3000 and inner(t, t) == t
+    assert len(calls) < 200
+    # seeds that already fill the window with the fixed point: one call
+    calls.clear()
+    assert presic_iterates(g, (t, t), 50) == [t] * 50
+    assert len(calls) == 1
