@@ -256,7 +256,7 @@ def _run_problem(p: ProblemConfig, out_dir: Path, seed: int) -> tuple[str, int]:
             return f"{p.id} certify UNCERTIFIED", EXIT_OK
         emp = empirical_lip_lower_bound(f, cert.q, trials=200, seed=seed)
         lines.append(f"sup,{_fmt(cert.q)},,{_fmt(cert.lip)},{_fmt(emp)}")
-        if p.q0 is not None and isinstance(f, LinearSeqMap):
+        if p.q0 is not None:
             pc = find_p_certificate(f, p.q0)
             if pc is not None:
                 emp_p = empirical_lip_lower_bound(f, pc.q, p=pc.p, trials=200, seed=seed)

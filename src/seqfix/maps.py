@@ -20,11 +20,14 @@ import math
 import random
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
-from .metrics import dist_p_geom, dist_sup_geom
+from .metrics import dist_p_geom, dist_sup_geom, ensure_weight
 from .sequences import BoundedSeq, ensure_finite
+
+
+_BISECT_STEPS = 50
 
 
 class SeqMap(ABC):
@@ -41,6 +44,25 @@ class SeqMap(ABC):
         """Value on the constant sequence (t, t, ...)."""
         return self.eval(BoundedSeq.constant(t))
 
+    def lip_sup(self, q: float) -> float:
+        """A Lipschitz constant for the q-weighted sup distance; ``inf`` when unknown or divergent.
+
+        At q = 1 this is the plain sup distance, which gives the Secelean
+        default constant and the truncation hints.
+        """
+        return math.inf
+
+    def lip_p(self, p: float, q: float) -> float:
+        """A Lipschitz constant for the (p, q) power distance; ``inf`` when unknown or divergent."""
+        return math.inf
+
+    def sup_weight(self) -> float | None:
+        """A weight q in (0, 1) with ``lip_sup(q) < 1``, or None when the map knows none.
+
+        :func:`~seqfix.solver.find_sup_certificate` certifies at this q.
+        """
+        return None
+
     def truncation(self, n: int, base: float) -> FiniteArityMap:
         """The arity-n map that freezes every coordinate from index ``n`` on at ``base``.
 
@@ -49,14 +71,17 @@ class SeqMap(ABC):
         argument raises ``ValueError``. The ``lipschitz_hint`` of the result
         is a max-metric Lipschitz constant of the truncation, or None when
         the map cannot supply one. This default evaluates through
-        ``BoundedSeq`` and supplies no hint. :func:`truncate` validates
-        ``n``, ``base`` and the domain before calling it.
+        ``BoundedSeq``; its hint is ``lip_sup(1.0)`` when that is finite,
+        since freezing coordinates cannot raise the plain sup constant.
+        :func:`truncate` validates ``n``, ``base`` and the domain before
+        calling it.
         """
 
         def rule(*args: float) -> float:
             return self.eval(BoundedSeq(args, base))
 
-        return FiniteArityMap(n, rule)
+        hint = self.lip_sup(1.0)
+        return FiniteArityMap(n, rule, hint if hint < math.inf else None)
 
     def _check_domain(self, x: BoundedSeq) -> None:
         if self.domain is not None:
@@ -175,9 +200,7 @@ class LinearSeqMap(SeqMap):
         constant then exceeds |b_k| / 5e-324, so ``inf`` is the float that
         does not understate it.
         """
-        q = ensure_finite(q, "q")
-        if not 0.0 < q <= 1.0:
-            raise ValueError(f"q must lie in (0, 1], got {q}")
+        q = ensure_weight(q, closed=True)
         n = len(self.head_coeffs)
         r = abs(self.tail_ratio)
         if (self.tail_coeff != 0.0 and r >= q) or self._weight_underflows(q):
@@ -187,22 +210,47 @@ class LinearSeqMap(SeqMap):
             total += (abs(self.tail_coeff) / q**n) / (1.0 - r / q)
         return total
 
+    def sup_weight(self) -> float | None:
+        """Bisect for a q where :meth:`lip_sup` reaches the midpoint between sum |b_n| and 1.
+
+        None when sum |b_n| >= 1: the constant is nonincreasing in q, so it
+        would already be >= 1 at q = 1. A map with no coefficients gets 1/2.
+        """
+        total = self.sum_abs_coeffs()
+        if total >= 1.0:
+            return None
+        if total == 0.0:
+            return 0.5
+        target = (1.0 + total) / 2.0
+        lo_edge = abs(self.tail_ratio) if self.tail_coeff != 0.0 else 0.0
+        lo, hi = lo_edge, 1.0
+        exceeded = False
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            if self.lip_sup(mid) <= target:
+                hi = mid
+            else:
+                lo = mid
+                exceeded = True
+        if not exceeded:
+            return 0.5 * (lo_edge + 1.0)
+        return hi if hi < 1.0 else None
+
     def lip_p(self, p: float, q: float) -> float:
         """Lipschitz constant for the (p, q) power distance.
 
         For p = 1 this is sup_n |b_n| / q**n; for p > 1 it is the conjugate
         power sum ``(sum_n |b_n|**(p/(p-1)) / q**(n/(p-1)))**((p-1)/p)``.
         Returns ``inf`` on divergence (|tail_ratio|**p >= q with a nonzero
-        tail), for p = 1 when q**k underflows at a nonzero coefficient, and
-        when the constant exceeds the float range. Evaluated in log space so
-        large exponents stay stable.
+        tail), when the tail ratio |tail_ratio|**conj / q**(1/(p-1)) rounds
+        to 1 or above, for p = 1 when q**k underflows at a nonzero
+        coefficient, and when the constant exceeds the float range.
+        Evaluated in log space so large exponents stay stable.
         """
         p = ensure_finite(p, "p")
-        q = ensure_finite(q, "q")
         if p < 1.0:
             raise ValueError(f"p must be >= 1, got {p}")
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"q must lie in (0, 1), got {q}")
+        q = ensure_weight(q)
         n = len(self.head_coeffs)
         r_abs = abs(self.tail_ratio)
         if p == 1.0:
@@ -223,7 +271,11 @@ class LinearSeqMap(SeqMap):
             if r_abs**p >= q:
                 return math.inf
             tail_log = conj * math.log(abs(self.tail_coeff)) - n * scale * math.log(q)
-            tail_step = r_abs**conj / q**scale
+            w = q**scale
+            # the ratio of consecutive tail terms; (r_abs**p / q)**scale < 1 when q**scale underflows
+            tail_step = r_abs**conj / w if w > 0.0 else (r_abs**p / q) ** scale
+            if tail_step >= 1.0:  # r_abs**p < q, but the ratio rounds up to 1: no float sum
+                return math.inf
             logs.append(tail_log)
         if not logs:
             return 0.0
@@ -261,9 +313,9 @@ class SupHalfMap(SeqMap):
         self._check_domain(x)
         return 0.5 * max(x.values())
 
-    def truncation(self, n: int, base: float) -> FiniteArityMap:
-        """The default truncation, with max-metric Lipschitz hint 1/2."""
-        return replace(super().truncation(n, base), lipschitz_hint=0.5)
+    def lip_sup(self, q: float) -> float:
+        """1/2 for the plain sup distance (q = 1); ``inf`` for every q < 1."""
+        return 0.5 if q == 1.0 else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,9 +360,22 @@ class EmbeddedMap(SeqMap):
     def eval(self, x: BoundedSeq) -> float:
         return self.finite_map(*x.head(self.finite_map.arity))
 
-    def truncation(self, n: int, base: float) -> FiniteArityMap:
-        """The default truncation, with the embedded map's own Lipschitz hint."""
-        return replace(super().truncation(n, base), lipschitz_hint=self.finite_map.lipschitz_hint)
+    def lip_sup(self, q: float) -> float:
+        """``hint / q**(m-1)``; ``inf`` without a hint or when the weight underflows.
+
+        Coordinate i < m carries weight q**i >= q**(m-1), so a max-metric
+        constant of the m-tuple map bounds the q-weighted sup constant this way.
+        """
+        hint = self.finite_map.lipschitz_hint
+        w = q ** (self.arity - 1)
+        return math.inf if hint is None or w == 0.0 else hint / w
+
+    def sup_weight(self) -> float | None:
+        """The q with q**(m-1) = (1 + hint) / 2, midway between the hint and 1 (1/2 for m = 1)."""
+        hint = self.finite_map.lipschitz_hint
+        if hint is None or hint >= 1.0:
+            return None
+        return 0.5 if self.arity == 1 else ((1.0 + hint) / 2.0) ** (1.0 / (self.arity - 1))
 
 
 def embed_finite(g: FiniteArityMap) -> EmbeddedMap:

@@ -70,6 +70,14 @@ def validate_p_weights(w: WeightSeq) -> bool:
     return all(a > 0.0 for a in w.head) and 0.0 < w.ratio < 1.0
 
 
+def ensure_weight(q: float, what: str = "q", closed: bool = False) -> float:
+    """Coerce a geometric weight ratio to a float in (0, 1), or in (0, 1] when ``closed``."""
+    q = ensure_finite(q, what)
+    if not (0.0 < q <= 1.0 if closed else 0.0 < q < 1.0):
+        raise ValueError(f"{what} must lie in (0, 1{']' if closed else ')'}, got {q}")
+    return q
+
+
 def base_dist(x: float, y: float) -> float:
     """Distance |x - y| on the underlying space (the real line)."""
     return abs(ensure_finite(x, "point") - ensure_finite(y, "point"))
@@ -132,15 +140,9 @@ def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> flo
 
 def dist_sup_geom(x: BoundedSeq, y: BoundedSeq, q: float) -> float:
     """Sup distance with geometric weights q**n; q=1 gives the plain sup distance."""
-    q = ensure_finite(q, "q")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q}")
-    return dist_sup_weighted(x, y, WeightSeq.geometric(q))
+    return dist_sup_weighted(x, y, WeightSeq.geometric(ensure_weight(q, closed=True)))
 
 
 def dist_p_geom(x: BoundedSeq, y: BoundedSeq, p: float, q: float) -> float:
     """Power distance with geometric weights q**n, q strictly below 1."""
-    q = ensure_finite(q, "q")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
-    return dist_p_weighted(x, y, p, WeightSeq.geometric(q))
+    return dist_p_weighted(x, y, p, WeightSeq.geometric(ensure_weight(q)))

@@ -13,11 +13,12 @@ before iterating and certify the result.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 
-from .maps import EmbeddedMap, FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, embed_finite, truncate
-from .metrics import dist_p_geom, dist_sup_geom
+from .maps import FiniteArityMap, SeqMap, embed_finite, truncate
+from .metrics import dist_p_geom, dist_sup_geom, ensure_weight
 from .sequences import BoundedSeq, ensure_finite
 
 
@@ -29,8 +30,39 @@ class BoundViolationError(Exception):
     """A certified error bound failed empirically (bug or invalid certificate)."""
 
 
+class ContractionCertificate(ABC):
+    """A witness that the lifted map contracts in some metric on sequences.
+
+    Both families hold the map's Lipschitz constant ``lip`` in their metric
+    and a lifted-step factor below 1, and share the a priori bound.
+    """
+
+    lip: float
+
+    @abstractmethod
+    def step_factor(self) -> float:
+        """Contraction factor of one lifted step."""
+
+    @abstractmethod
+    def gap(self, x: BoundedSeq, y: BoundedSeq) -> float:
+        """Distance between sequences in this certificate's metric."""
+
+    @abstractmethod
+    def diagonal_lip(self) -> float:
+        """Contraction factor of the diagonal map t -> f(t, t, ...)."""
+
+    def a_priori_bound(self, k: int, d1: float) -> float:
+        """Error bound for the k-th iterate from the first-step displacement d1."""
+        if k < 1:
+            raise ValueError(f"iterate index must be >= 1, got {k}")
+        if d1 < 0.0:
+            raise ValueError(f"first-step displacement must be nonnegative, got {d1}")
+        sf = self.step_factor()
+        return self.lip * sf ** (k - 1) / (1.0 - sf) * d1
+
+
 @dataclass(frozen=True)
-class SupCertificate:
+class SupCertificate(ContractionCertificate):
     """Witness of contraction for the q-weighted sup distance.
 
     Valid when 0 < q < 1 and the map's Lipschitz constant ``lip`` for that
@@ -50,29 +82,17 @@ class SupCertificate:
             raise ValueError(f"certificate lip must lie in [0, 1), got {lip}")
 
     def step_factor(self) -> float:
-        """Contraction factor of one lifted step."""
         return max(self.lip, self.q)
 
     def gap(self, x: BoundedSeq, y: BoundedSeq) -> float:
-        """Distance between sequences in this certificate's metric."""
         return dist_sup_geom(x, y, self.q)
 
     def diagonal_lip(self) -> float:
-        """Contraction factor of the diagonal map t -> f(t, t, ...)."""
         return self.lip
-
-    def a_priori_bound(self, k: int, d1: float) -> float:
-        """Error bound for the k-th iterate from the first-step displacement d1."""
-        if k < 1:
-            raise ValueError(f"iterate index must be >= 1, got {k}")
-        if d1 < 0.0:
-            raise ValueError(f"first-step displacement must be nonnegative, got {d1}")
-        sf = self.step_factor()
-        return self.lip * sf ** (k - 1) / (1.0 - sf) * d1
 
 
 @dataclass(frozen=True)
-class PCertificate:
+class PCertificate(ContractionCertificate):
     """Witness of contraction for the (p, q) power distance.
 
     Valid when ``lip < (1 - q)**(1/p)``; the lifted map then contracts with
@@ -102,17 +122,6 @@ class PCertificate:
 
     def diagonal_lip(self) -> float:
         return self.lip / (1.0 - self.q) ** (1.0 / self.p)
-
-    def a_priori_bound(self, k: int, d1: float) -> float:
-        if k < 1:
-            raise ValueError(f"iterate index must be >= 1, got {k}")
-        if d1 < 0.0:
-            raise ValueError(f"first-step displacement must be nonnegative, got {d1}")
-        sf = self.step_factor()
-        return self.lip * sf ** (k - 1) / (1.0 - sf) * d1
-
-
-ContractionCertificate = SupCertificate | PCertificate
 
 
 @dataclass(frozen=True)
@@ -178,67 +187,26 @@ def _iterates_from(
     return IterationTrace(tuple(steps), d1)
 
 
-_BISECT_STEPS = 50
-
-
 def find_sup_certificate(f: SeqMap) -> SupCertificate | None:
-    """Search for a sup-distance contraction certificate.
+    """The sup-distance certificate at the map's own weight :meth:`SeqMap.sup_weight`.
 
-    Linear maps: none exists when the absolute coefficient sum is >= 1 (the
-    constant is nonincreasing in q, so it would already be >= 1 at q = 1);
-    otherwise bisect for a q where the exact constant reaches the midpoint
-    between the coefficient sum and 1. Embedded finite-arity maps use the
-    supplied hint. Anything else is reported uncertified (None).
+    None when the map offers no weight, so it is reported uncertified.
     """
-    if isinstance(f, LinearSeqMap):
-        total = f.sum_abs_coeffs()
-        if total >= 1.0:
-            return None
-        if total == 0.0:
-            return SupCertificate(0.5, 0.0)
-        target = (1.0 + total) / 2.0
-        lo_edge = abs(f.tail_ratio) if f.tail_coeff != 0.0 else 0.0
-        lo, hi = lo_edge, 1.0
-        exceeded = False
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if f.lip_sup(mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-                exceeded = True
-        if not exceeded:
-            q = 0.5 * (lo_edge + 1.0)
-        elif hi < 1.0:
-            q = hi
-        else:
-            return None
-        return SupCertificate(q, f.lip_sup(q))
-    if isinstance(f, EmbeddedMap):
-        hint = f.finite_map.lipschitz_hint
-        if hint is None or hint >= 1.0:
-            return None
-        m = f.finite_map.arity
-        if m == 1:
-            return SupCertificate(0.5, hint)
-        q = ((1.0 + hint) / 2.0) ** (1.0 / (m - 1))
-        return SupCertificate(q, hint / q ** (m - 1))
-    return None
+    q = f.sup_weight()
+    return None if q is None else SupCertificate(q, f.lip_sup(q))
 
 
 _P_GRID_MAX = 2**20
 
 
-def find_p_certificate(f: LinearSeqMap, q0: float) -> PCertificate | None:
+def find_p_certificate(f: SeqMap, q0: float) -> PCertificate | None:
     """Search a doubling exponent grid for a power-distance certificate at q0.
 
     Existence for certifiable maps is guaranteed for some exponent, but with
     no computable cap, so exhausting the grid is reported as None rather
-    than treated as disproof.
+    than treated as disproof. A map without :meth:`SeqMap.lip_p` exhausts it.
     """
-    q0 = ensure_finite(q0, "q0")
-    if not 0.0 < q0 < 1.0:
-        raise ValueError(f"q0 must lie in (0, 1), got {q0}")
+    q0 = ensure_weight(q0, "q0")
     p = 1.0
     while p <= _P_GRID_MAX:
         lip = f.lip_p(p, q0)
@@ -278,6 +246,10 @@ def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
     return k
 
 
+#: residuals up to this many ulps of the fixed point's magnitude are float roundoff
+_ROUNDOFF_ULPS = 4
+
+
 @dataclass(frozen=True)
 class FixedPointSolution:
     """Certified approximation of the diagonal fixed point."""
@@ -299,7 +271,10 @@ def solve_fixed_point(
     runs exactly that many lifted steps, and double-checks the terminal
     residual |f(t, t, ...) - t| against what the certificate permits;
     a violation means the certificate was invalid for ``f`` (or a bug) and
-    raises :class:`BoundViolationError`.
+    raises :class:`BoundViolationError`. The bounds hold in exact
+    arithmetic, so a residual that exceeds the allowance but is within
+    :data:`_ROUNDOFF_ULPS` ulps of ``max(|t|, |f(t, t, ...)|)`` is roundoff:
+    it raises ``ValueError``, because ``tol`` is below float resolution.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -311,6 +286,10 @@ def solve_fixed_point(
     c = cert.diagonal_lip()
     allowance = tol * (1.0 + c) / (1.0 - c)
     if last.residual > allowance:
+        scale = max(abs(last.value), abs(f.diagonal(last.value)))
+        if last.residual <= _ROUNDOFF_ULPS * math.ulp(scale):
+            raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
+                             f"residual {last.residual:.3e} is roundoff")
         raise BoundViolationError(
             f"terminal residual {last.residual:.3e} exceeds certified allowance {allowance:.3e}"
         )
@@ -335,21 +314,16 @@ def secelean_iterates(
     """Iterates y_k = f applied after k coordinatewise diagonal-map steps.
 
     Requires f to contract for the plain (unweighted) sup distance; ``lip``
-    is that constant, derived for linear and half-sup maps and otherwise
-    caller-supplied. The recorded bound is
+    is that constant, by default the map's own ``lip_sup(1.0)``. The
+    recorded bound is
     ``lip**(k+1) / (1 - lip) * max_i |f(x_i, x_i, ...) - x_i]``, a finite
     maximum because the start has finitely many distinct coordinates.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     if lip is None:
-        if isinstance(f, LinearSeqMap):
-            lip = f.lip_sup(1.0)
-        elif isinstance(f, SupHalfMap):
-            lip = 0.5
-        elif isinstance(f, EmbeddedMap) and f.finite_map.lipschitz_hint is not None:
-            lip = f.finite_map.lipschitz_hint
-        else:
+        lip = f.lip_sup(1.0)
+        if lip == math.inf:
             raise UncertifiedMapError(
                 "cannot derive a sup-distance Lipschitz constant for this map; pass lip explicitly"
             )

@@ -296,3 +296,41 @@ def test_deterministic_output(tmp_path, capsys):
     capsys.readouterr()
     for name in ("solve-recursion.csv", "certify-recursion.csv", "config_echo.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_solve_below_float_resolution_exits_2(tmp_path):
+    config = write_config(tmp_path, [problem("tiny-tol", "solve", tolerance=1e-17)])
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_UNCERTIFIED, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("tiny-tol solve FAILED tolerance 1.000e-17 is below float resolution")
+
+
+def test_certify_with_q0_on_maps_without_power_constants(tmp_path, capsys):
+    presic = {"presic": {"rule": "affine", "coeffs": [0.25, 0.25], "offset": 1.0}}
+    config = write_config(tmp_path, [
+        problem("presic", "certify", map=presic, q0=0.5),
+        problem("half", "certify", map={"sup_half": {}}, initial={"prefix": [], "tail": 0.5}, q0=0.5),
+    ])
+    assert run(config, str(tmp_path / "out")) == EXIT_OK
+    rows = (tmp_path / "out" / "presic.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == ["sup"]
+    assert (tmp_path / "out" / "half.csv").read_text() == "family,q,p,lip,empirical_lower_bound\n"
+    assert capsys.readouterr().out.splitlines()[1] == "half certify UNCERTIFIED"
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli_batch_seed0"
+
+
+def test_cli_batch_matches_golden_output_byte_for_byte(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(str(GOLDEN / "config.json"), str(out), 0) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "stdout.txt").read_text()
+    expected = sorted(p.name for p in (GOLDEN / "expected").iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (GOLDEN / "expected" / name).read_bytes(), name

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqfix import (
     BoundedSeq,
@@ -410,3 +412,76 @@ def test_map_gap_is_bit_exact():
             b = BoundedSeq(b.prefix, rng.choice((0.0, -0.0)))
         assert _map_gap(f, a, b).hex() == map_gap_loop(f, a, b).hex()
         assert _map_gap(f, b, a).hex() == map_gap_loop(f, b, a).hex()
+
+
+def lip_p_before_underflow_guard(f, p, q):
+    """LinearSeqMap.lip_p as it read before q**scale underflow and a rounded tail ratio were handled."""
+    n = len(f.head_coeffs)
+    r_abs = abs(f.tail_ratio)
+    if p == 1.0:
+        return f.lip_p(p, q)  # unchanged branch
+    conj = p / (p - 1.0)
+    scale = 1.0 / (p - 1.0)
+    logs = [conj * math.log(abs(b)) - k * scale * math.log(q)
+            for k, b in enumerate(f.head_coeffs) if b != 0.0]
+    tail_log = None
+    tail_step = 0.0
+    if f.tail_coeff != 0.0:
+        if r_abs**p >= q:
+            return math.inf
+        tail_log = conj * math.log(abs(f.tail_coeff)) - n * scale * math.log(q)
+        tail_step = r_abs**conj / q**scale
+        logs.append(tail_log)
+    if not logs:
+        return 0.0
+    top = max(logs)
+    total = sum(math.exp(v - top) for v in logs if v != tail_log)
+    if tail_log is not None:
+        total += math.exp(tail_log - top) / (1.0 - tail_step)
+    try:
+        scale_out = math.exp(top / conj)
+    except OverflowError:
+        return math.inf
+    return scale_out * total ** (1.0 / conj)
+
+
+def test_lip_p_survives_an_underflowing_tail_weight():
+    # q**scale = 1e-600 is 0.0; the tail at index 1 contributes (0.1**3 / 1e-600)**(1/3) = 1e199
+    f = LinearSeqMap((0.1,), 0.1, 0.0)
+    assert f.lip_p(1.5, 1e-300) == pytest.approx(1e199, rel=1e-12)
+    assert LinearSeqMap((0.0,), 0.1, 0.5).lip_p(1.5, 1e-300) == math.inf  # 0.5**1.5 >= q
+    # q**2 underflows here too; the tail ratio (1e-301.5 / 1e-300)**2 is 1e-3
+    assert LinearSeqMap((), 1e-3, 1e-201).lip_p(1.5, 1e-300) == pytest.approx(1e-3 / (1.0 - 1e-3) ** (1 / 3), rel=1e-9)
+
+
+def test_lip_p_is_inf_when_the_tail_ratio_rounds_to_one():
+    # |r|**p < q, but |r|**conj / q**scale rounds to 1.0 (division by zero)
+    # or to 1.0000000000000002 (a complex power of a negative sum)
+    assert LinearSeqMap((), 0.5, 0.9137447912204897).lip_p(7.3, 0.5176329031400201) == math.inf
+    assert LinearSeqMap((), 0.5, 0.16521521284970947).lip_p(12.047064284956937, 3.8001303574422473e-10) == math.inf
+
+
+lip_p_coeffs = st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(lip_p_coeffs, max_size=6).map(tuple),
+    lip_p_coeffs,
+    st.floats(min_value=-0.999, max_value=0.999, allow_nan=False),
+    st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=64.0)),
+    st.one_of(
+        st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
+        st.floats(min_value=5e-324, max_value=1e-200),
+    ),
+)
+def test_lip_p_keeps_every_value_it_returned_before(head, tail, ratio, p, q):
+    f = LinearSeqMap(head, tail, ratio)
+    got = f.lip_p(p, q)  # never raises
+    assert got >= 0.0
+    try:
+        want = lip_p_before_underflow_guard(f, p, q)
+    except ZeroDivisionError:
+        return
+    if isinstance(want, float):
+        assert got.hex() == want.hex()

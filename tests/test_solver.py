@@ -388,3 +388,20 @@ def test_reduce_general_weights():
         reduce_general_weights(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         reduce_general_weights(-1.0, 0.5, 0.5)
+
+
+def test_tolerance_below_float_resolution_is_not_a_bound_violation():
+    # the terminal residual 4.4e-16 is one ulp at 3, above the allowance of 1.7e-16
+    cert = find_sup_certificate(RECUR)
+    with pytest.raises(ValueError, match="below float resolution") as caught:
+        solve_fixed_point(RECUR, ZERO, cert, 1e-17)
+    assert not isinstance(caught.value, BoundViolationError)
+    with pytest.raises(ValueError, match="below float resolution"):
+        solve_fixed_point(RECUR, ZERO, cert, 1e-300)
+    assert solve_fixed_point(RECUR, ZERO, cert, 1e-12).value == pytest.approx(3.0, abs=1e-12)
+
+
+def test_residual_above_the_roundoff_floor_is_still_a_violation():
+    f = LinearSeqMap((0.9,), offset=1.0)  # true constant 0.9, claimed 0.01
+    with pytest.raises(BoundViolationError):
+        solve_fixed_point(f, ZERO, SupCertificate(0.5, 0.01), 1e-17)
