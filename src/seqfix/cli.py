@@ -125,18 +125,9 @@ class ProblemConfig:
 
     def build_map(self) -> SeqMap:
         kind, params = next(iter(self.map_spec.items()))
-        if kind == "linear":
-            return LinearSeqMap(
-                head_coeffs=tuple(params["head_coeffs"]),
-                tail_coeff=params["tail_coeff"],
-                tail_ratio=params["tail_ratio"],
-                offset=params["offset"],
-            )
-        if kind == "sup_half":
-            return SupHalfMap()
-        if kind == "presic":
-            return embed_finite(_build_finite_map(params))
-        raise ConfigError(f"unknown map kind {kind!r}")
+        if kind not in _MAP_KINDS:
+            raise ConfigError(f"unknown map kind {kind!r}")
+        return _MAP_KINDS[kind][1](params)
 
 
 def _integer(value: object, what: str, pid: str) -> int | None:
@@ -154,43 +145,63 @@ def _normalize_map_spec(pid: str, spec: object) -> dict:
     kind, params = next(iter(spec.items()))
     if not isinstance(params, dict):
         raise ConfigError(f"map parameters for problem {pid!r} must be an object")
-    if kind == "linear":
-        norm = {
-            "head_coeffs": [ensure_finite(v, "coefficient") for v in params.get("head_coeffs", [])],
-            "tail_coeff": ensure_finite(params.get("tail_coeff", 0.0), "tail coefficient"),
-            "tail_ratio": ensure_finite(params.get("tail_ratio", 0.0), "tail ratio"),
-            "offset": ensure_finite(params.get("offset", 0.0), "offset"),
-        }
-        if abs(norm["tail_ratio"]) >= 1.0:
-            raise ConfigError(f"linear map for problem {pid!r} needs |tail_ratio| < 1")
-        return {"linear": norm}
-    if kind == "sup_half":
-        if params:
-            raise ConfigError(f"sup_half map for problem {pid!r} takes no parameters")
-        return {"sup_half": {}}
-    if kind == "presic":
-        rule = params.get("rule")
-        if rule != "affine":
-            raise ConfigError(f"unknown presic rule {rule!r} for problem {pid!r} (supported: 'affine')")
-        coeffs = [ensure_finite(v, "coefficient") for v in params.get("coeffs", [])]
-        if not coeffs:
-            raise ConfigError(f"presic map for problem {pid!r} needs nonempty coeffs")
-        arity = _integer(params.get("arity", len(coeffs)), "presic arity", pid)
-        if arity != len(coeffs):
-            raise ConfigError(f"presic arity must match len(coeffs) for problem {pid!r}")
-        return {"presic": {"rule": "affine", "arity": arity, "coeffs": coeffs,
-                           "offset": ensure_finite(params.get("offset", 0.0), "offset")}}
-    raise ConfigError(f"unknown map kind {kind!r} for problem {pid!r}")
+    if kind not in _MAP_KINDS:
+        raise ConfigError(f"unknown map kind {kind!r} for problem {pid!r}")
+    return {kind: _MAP_KINDS[kind][0](pid, params)}
 
 
-def _build_finite_map(params: dict) -> FiniteArityMap:
+def _normalize_linear(pid: str, params: dict) -> dict:
+    norm = {
+        "head_coeffs": [ensure_finite(v, "coefficient") for v in params.get("head_coeffs", [])],
+        "tail_coeff": ensure_finite(params.get("tail_coeff", 0.0), "tail coefficient"),
+        "tail_ratio": ensure_finite(params.get("tail_ratio", 0.0), "tail ratio"),
+        "offset": ensure_finite(params.get("offset", 0.0), "offset"),
+    }
+    if abs(norm["tail_ratio"]) >= 1.0:
+        raise ConfigError(f"linear map for problem {pid!r} needs |tail_ratio| < 1")
+    return norm
+
+
+def _build_linear(params: dict) -> LinearSeqMap:
+    return LinearSeqMap(tuple(params["head_coeffs"]), params["tail_coeff"], params["tail_ratio"], params["offset"])
+
+
+def _normalize_sup_half(pid: str, params: dict) -> dict:
+    if params:
+        raise ConfigError(f"sup_half map for problem {pid!r} takes no parameters")
+    return {}
+
+
+def _normalize_presic(pid: str, params: dict) -> dict:
+    rule = params.get("rule")
+    if rule != "affine":
+        raise ConfigError(f"unknown presic rule {rule!r} for problem {pid!r} (supported: 'affine')")
+    coeffs = [ensure_finite(v, "coefficient") for v in params.get("coeffs", [])]
+    if not coeffs:
+        raise ConfigError(f"presic map for problem {pid!r} needs nonempty coeffs")
+    arity = _integer(params.get("arity", len(coeffs)), "presic arity", pid)
+    if arity != len(coeffs):
+        raise ConfigError(f"presic arity must match len(coeffs) for problem {pid!r}")
+    return {"rule": "affine", "arity": arity, "coeffs": coeffs,
+            "offset": ensure_finite(params.get("offset", 0.0), "offset")}
+
+
+def _build_presic(params: dict) -> SeqMap:
     coeffs = tuple(params["coeffs"])
     offset = params["offset"]
 
     def rule(*args: float) -> float:
         return sum(c * a for c, a in zip(coeffs, args)) + offset
 
-    return FiniteArityMap(len(coeffs), rule, sum(abs(c) for c in coeffs))
+    return embed_finite(FiniteArityMap(len(coeffs), rule, sum(abs(c) for c in coeffs)))
+
+
+#: map kind -> (normalize its config parameters for a problem id, build the map from them)
+_MAP_KINDS = {
+    "linear": (_normalize_linear, _build_linear),
+    "sup_half": (_normalize_sup_half, lambda params: SupHalfMap()),
+    "presic": (_normalize_presic, _build_presic),
+}
 
 
 def parse_config(text: str) -> list[ProblemConfig]:

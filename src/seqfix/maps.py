@@ -19,15 +19,17 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .metrics import dist_p_geom, dist_sup_geom, ensure_weight
+from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
 from .sequences import BoundedSeq, ensure_finite
 
 
 _BISECT_STEPS = 50
+#: deepest coordinate index a linear map's witness inputs reach
+_WITNESS_DEPTH = 64
 
 
 class SeqMap(ABC):
@@ -62,6 +64,18 @@ class SeqMap(ABC):
         :func:`~seqfix.solver.find_sup_certificate` certifies at this q.
         """
         return None
+
+    def difference(self, a: BoundedSeq, b: BoundedSeq) -> float:
+        """|f(a) - f(b)|, the numerator of every empirical Lipschitz ratio."""
+        return abs(self.eval(a) - self.eval(b))
+
+    def witnesses(self, q: float, p: float | None) -> Iterable[BoundedSeq]:
+        """Inputs x whose ratio against the zero sequence nears the constant at (p, q).
+
+        ``p`` is None for the q-weighted sup distance. The default knows none;
+        :func:`empirical_lip_lower_bound` tries each one besides its random pairs.
+        """
+        return ()
 
     def truncation(self, n: int, base: float) -> FiniteArityMap:
         """The arity-n map that freezes every coordinate from index ``n`` on at ``base``.
@@ -145,6 +159,51 @@ class LinearSeqMap(SeqMap):
         for n in range(m):
             acc += self.coeff_at(n) * x.prefix[n]
         return acc + x.tail * self.tail_sum_from(m)
+
+    def difference(self, a: BoundedSeq, b: BoundedSeq) -> float:
+        """|f(a) - f(b)| through the offset-free form ``sum_n b_n (a_n - b_n)``.
+
+        Subtracting two evaluations cancels the offset and loses the tiny
+        coordinate signal of deep witness pairs; the explicit difference form
+        is the same number algebraically but keeps full relative precision.
+        """
+        m = max(len(a.prefix), len(b.prefix))
+        acc = 0.0
+        for n, (u, v) in enumerate(zip(a.head(m), b.head(m))):
+            acc += self.coeff_at(n) * (u - v)
+        acc += (a.tail - b.tail) * self.tail_sum_from(m)
+        return abs(acc)
+
+    def witnesses(self, q: float, p: float | None) -> Iterator[BoundedSeq]:
+        """Near-extremal inputs realizing the analytic constants on truncations.
+
+        The sup (p None) and power (p > 1) witnesses put 0.0 at zero
+        coefficients and end before the first coordinate that is not a finite
+        float, because its weight q**k underflowed; a shorter witness still
+        bounds the constant from below.
+        """
+        if p == 1.0:
+            for k in range(_WITNESS_DEPTH + 1):
+                yield BoundedSeq((0.0,) * k + (1.0,), 0.0)
+            return
+        entries: list[float] = []
+        for k in range(_WITNESS_DEPTH + 1):
+            b = self.coeff_at(k)
+            if b == 0.0:
+                entries.append(0.0)
+                continue
+            w = q**k
+            if w == 0.0:
+                break
+            sign = math.copysign(1.0, b)
+            try:
+                v = sign / w if p is None else sign * (abs(b) / w) ** (1.0 / (p - 1.0))
+            except OverflowError:
+                break
+            if not math.isfinite(v):
+                break
+            entries.append(v)
+        yield BoundedSeq(tuple(entries), 0.0)
 
     def _weight_underflows(self, q: float) -> bool:
         """Whether q**k is 0.0 at the deepest index a closed form divides by.
@@ -247,9 +306,7 @@ class LinearSeqMap(SeqMap):
         coefficient, and when the constant exceeds the float range.
         Evaluated in log space so large exponents stay stable.
         """
-        p = ensure_finite(p, "p")
-        if p < 1.0:
-            raise ValueError(f"p must be >= 1, got {p}")
+        p = ensure_exponent(p)
         q = ensure_weight(q)
         n = len(self.head_coeffs)
         r_abs = abs(self.tail_ratio)
@@ -371,11 +428,16 @@ class EmbeddedMap(SeqMap):
         return math.inf if hint is None or w == 0.0 else hint / w
 
     def sup_weight(self) -> float | None:
-        """The q with q**(m-1) = (1 + hint) / 2, midway between the hint and 1 (1/2 for m = 1)."""
+        """The q with q**(m-1) = (1 + hint) / 2, midway between the hint and 1 (1/2 for m = 1).
+
+        None when rounding defeats that q: for a hint within about 1e-15 of
+        1, q rounds to 1.0 or ``lip_sup(q)`` to 1 or above.
+        """
         hint = self.finite_map.lipschitz_hint
         if hint is None or hint >= 1.0:
             return None
-        return 0.5 if self.arity == 1 else ((1.0 + hint) / 2.0) ** (1.0 / (self.arity - 1))
+        q = 0.5 if self.arity == 1 else ((1.0 + hint) / 2.0) ** (1.0 / (self.arity - 1))
+        return q if q < 1.0 and self.lip_sup(q) < 1.0 else None
 
 
 def embed_finite(g: FiniteArityMap) -> EmbeddedMap:
@@ -408,61 +470,9 @@ def truncate(f: SeqMap, n: int, base: float) -> FiniteArityMap:
     return f.truncation(n, base)
 
 
-def _sgn(v: float) -> float:
-    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0
-
-
-def _map_gap(f: SeqMap, a: BoundedSeq, b: BoundedSeq) -> float:
-    """|f(a) - f(b)|, through the offset-free form for linear maps.
-
-    Subtracting two evaluations cancels the offset and loses the tiny
-    coordinate signal of deep witness pairs; the explicit difference form
-    is the same number algebraically but keeps full relative precision.
-    """
-    if isinstance(f, LinearSeqMap):
-        m = max(len(a.prefix), len(b.prefix))
-        acc = 0.0
-        for n, (u, v) in enumerate(zip(a.head(m), b.head(m))):
-            acc += f.coeff_at(n) * (u - v)
-        acc += (a.tail - b.tail) * f.tail_sum_from(m)
-        return abs(acc)
-    return abs(f.eval(a) - f.eval(b))
-
-
 def _random_seq(rng: random.Random, lo: float, hi: float) -> BoundedSeq:
     k = rng.randrange(0, 9)
     return BoundedSeq(tuple(rng.uniform(lo, hi) for _ in range(k)), rng.uniform(lo, hi))
-
-
-def _linear_witnesses(f: LinearSeqMap, q: float, p: float | None, depth: int) -> Iterator[BoundedSeq]:
-    """Near-extremal inputs realizing the analytic constants on truncations.
-
-    The sup (p None) and power (p > 1) witnesses put 0.0 at zero
-    coefficients and end before the first coordinate that is not a finite
-    float, because its weight q**k underflowed; a shorter witness still
-    bounds the constant from below.
-    """
-    if p == 1.0:
-        for k in range(depth + 1):
-            yield BoundedSeq((0.0,) * k + (1.0,), 0.0)
-        return
-    entries: list[float] = []
-    for k in range(depth + 1):
-        b = f.coeff_at(k)
-        if b == 0.0:
-            entries.append(0.0)
-            continue
-        w = q**k
-        if w == 0.0:
-            break
-        try:
-            v = _sgn(b) / w if p is None else _sgn(b) * (abs(b) / w) ** (1.0 / (p - 1.0))
-        except OverflowError:
-            break
-        if not math.isfinite(v):
-            break
-        entries.append(v)
-    yield BoundedSeq(tuple(entries), 0.0)
 
 
 def empirical_lip_lower_bound(
@@ -471,36 +481,26 @@ def empirical_lip_lower_bound(
     p: float | None = None,
     trials: int = 200,
     seed: int = 0,
-    witness_depth: int = 64,
 ) -> float:
     """Randomized lower bound on the Lipschitz constant of ``f``.
 
     Maximizes the ratio |f(x) - f(y)| / d(x, y) over seeded random pairs
     from the map's domain, where d is the geometric sup distance (p=None)
-    or the (p, q) power distance. For linear maps the deterministic
-    witness pairs are tried as well, which makes the bound sharp up to the
-    truncation depth. The result never exceeds the analytic constant.
+    or the (p, q) power distance, and pairs each of the map's
+    :meth:`SeqMap.witnesses` with the zero sequence; for linear maps this
+    makes the bound sharp up to the witness depth. The result never exceeds
+    the analytic constant.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if p is None:
-        metric = lambda a, b: dist_sup_geom(a, b, q)
-    else:
-        metric = lambda a, b: dist_p_geom(a, b, p, q)
     rng = random.Random(seed)
     lo, hi = f.domain if f.domain is not None else (-1.0, 1.0)
+    pairs = [(_random_seq(rng, lo, hi), _random_seq(rng, lo, hi)) for _ in range(trials)]
+    zero = BoundedSeq.constant(0.0)
+    pairs += [(witness, zero) for witness in f.witnesses(q, p)]
     best = 0.0
-
-    def consider(a: BoundedSeq, b: BoundedSeq) -> None:
-        nonlocal best
-        d = metric(a, b)
+    for a, b in pairs:
+        d = dist_sup_geom(a, b, q) if p is None else dist_p_geom(a, b, p, q)
         if d > 0.0:
-            best = max(best, _map_gap(f, a, b) / d)
-
-    for _ in range(trials):
-        consider(_random_seq(rng, lo, hi), _random_seq(rng, lo, hi))
-    if isinstance(f, LinearSeqMap):
-        zero = BoundedSeq.constant(0.0)
-        for witness in _linear_witnesses(f, q, p, witness_depth):
-            consider(witness, zero)
+            best = max(best, f.difference(a, b) / d)
     return best

@@ -10,6 +10,7 @@ what the contraction certificates are built on.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -78,6 +79,14 @@ def ensure_weight(q: float, what: str = "q", closed: bool = False) -> float:
     return q
 
 
+def ensure_exponent(p: float, what: str = "p") -> float:
+    """Coerce a power-distance exponent to a finite float >= 1."""
+    p = ensure_finite(p, what)
+    if p < 1.0:
+        raise ValueError(f"{what} must be >= 1, got {p}")
+    return p
+
+
 def base_dist(x: float, y: float) -> float:
     """Distance |x - y| on the underlying space (the real line)."""
     return abs(ensure_finite(x, "point") - ensure_finite(y, "point"))
@@ -117,11 +126,10 @@ def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> flo
 
     Finite sum over the joint prefix plus the closed-form geometric tail
     sum. The largest rescaled term is factored out before exponentiation so
-    the evaluation stays stable for very large ``p``.
+    the evaluation stays stable for very large ``p``. A coordinate difference
+    that overflows makes the distance ``inf``, never ``nan``.
     """
-    p = ensure_finite(p, "exponent")
-    if p < 1.0:
-        raise ValueError(f"exponent must be >= 1, got {p}")
+    p = ensure_exponent(p, "exponent")
     if not validate_p_weights(w):
         raise ValueError("weights do not define a p-type metric (need positive head, ratio in (0, 1))")
     m = max(len(x.prefix), len(y.prefix), len(w.head))
@@ -129,9 +137,13 @@ def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> flo
     d_tail = abs(x.tail - y.tail)
     scaled = [w.at(n) ** inv_p * abs(a - b) for n, (a, b) in enumerate(zip(x.head(m), y.head(m)))]
     tail_anchor = w.at(m) ** inv_p * d_tail
-    top = max(scaled + [tail_anchor])
+    # the tail anchor goes first: it is 0.0 * inf = nan when an overflowed tail
+    # difference meets an underflowed weight, and max returns a leading nan
+    top = max([tail_anchor] + scaled)
     if top == 0.0:
         return 0.0
+    if not top < math.inf:
+        return math.inf
     total = sum((v / top) ** p for v in scaled if v > 0.0)
     if d_tail > 0.0:
         total += (tail_anchor / top) ** p / (1.0 - w.ratio)

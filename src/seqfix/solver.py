@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .maps import FiniteArityMap, SeqMap, embed_finite, truncate
-from .metrics import dist_p_geom, dist_sup_geom, ensure_weight
+from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
 from .sequences import BoundedSeq, ensure_finite
 
 
@@ -74,10 +74,8 @@ class SupCertificate(ContractionCertificate):
     lip: float
 
     def __post_init__(self) -> None:
-        q = ensure_finite(self.q, "q")
+        ensure_weight(self.q, "certificate q")
         lip = ensure_finite(self.lip, "lip")
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"certificate q must lie in (0, 1), got {q}")
         if not 0.0 <= lip < 1.0:
             raise ValueError(f"certificate lip must lie in [0, 1), got {lip}")
 
@@ -104,13 +102,9 @@ class PCertificate(ContractionCertificate):
     lip: float
 
     def __post_init__(self) -> None:
-        p = ensure_finite(self.p, "p")
-        q = ensure_finite(self.q, "q")
+        p = ensure_exponent(self.p, "certificate p")
+        q = ensure_weight(self.q, "certificate q")
         lip = ensure_finite(self.lip, "lip")
-        if p < 1.0:
-            raise ValueError(f"certificate p must be >= 1, got {p}")
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"certificate q must lie in (0, 1), got {q}")
         if not 0.0 <= lip < (1.0 - q) ** (1.0 / p):
             raise ValueError(f"certificate requires lip < (1-q)^(1/p), got lip={lip}, q={q}, p={p}")
 
@@ -233,10 +227,18 @@ def sup_certificate_from_p(cert: PCertificate) -> SupCertificate:
 
 
 def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
-    """Smallest iterate index whose a priori bound is at most tol."""
-    if cert.a_priori_bound(1, d1) <= tol:
-        return 1
+    """Smallest iterate index whose a priori bound is at most tol.
+
+    Raises ``ValueError`` when that bound is not finite: the start is too far
+    from its image for the first-step displacement, or the bound built from
+    it, to be a float.
+    """
     first = cert.a_priori_bound(1, d1)
+    if first <= tol:
+        return 1
+    if not first < math.inf:
+        raise ValueError(f"first-step displacement {d1:.3e} gives a non-finite a priori bound: "
+                         "the start is too far from its image")
     sf = cert.step_factor()
     k = 1 + max(0, math.ceil(math.log(tol / first) / math.log(sf)))
     while cert.a_priori_bound(k, d1) > tol:
@@ -415,7 +417,8 @@ def truncation_study(
     certified map); the reference fixed point is solved at tol/1000. Every
     observed error must respect the certified bound
     ``q**n * lip / (1 - lip) * |reference - base|``; a violation raises
-    :class:`BoundViolationError`.
+    :class:`BoundViolationError`. A truncation that gets no sup certificate
+    raises :class:`UncertifiedMapError`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -429,11 +432,13 @@ def truncation_study(
         fn = truncate(f, n, base)
         if fn.lipschitz_hint is None or fn.lipschitz_hint >= 1.0:
             fn = FiniteArityMap(fn.arity, fn.rule, cert.lip)
-        emb = embed_finite(fn)
-        sub = find_sup_certificate(emb)
-        start = BoundedSeq.constant(base)
-        _, lifted = lift_step(emb, start)
-        d1 = sub.gap(lifted, start)
+        sub = find_sup_certificate(embed_finite(fn))
+        if sub is None:
+            raise UncertifiedMapError(
+                f"uncertified truncation at arity {n}: hint {fn.lipschitz_hint!r} is too close to 1"
+            )
+        # the gap of the first lift from the constant start, without building either sequence
+        d1 = abs(fn(*(base,) * n) - base)
         k = _smallest_k(sub, d1, tol / 10.0)
         values = presic_iterates(fn, (base,) * n, k)
         x_n = values[-1]
@@ -464,22 +469,16 @@ def reduce_general_weights(
     Returns None when the corresponding condition fails.
     """
     a0 = ensure_finite(a0, "a0")
-    ratio_bound = ensure_finite(ratio_bound, "ratio bound")
-    lip_general = ensure_finite(lip_general, "lip")
     if a0 <= 0.0:
         raise ValueError(f"a0 must be positive, got {a0}")
-    if not 0.0 < ratio_bound < 1.0:
-        raise ValueError(f"ratio bound must lie in (0, 1), got {ratio_bound}")
+    ratio_bound = ensure_weight(ratio_bound, "ratio bound")
+    lip_general = ensure_finite(lip_general, "lip")
     if lip_general < 0.0:
         raise ValueError(f"lip must be nonnegative, got {lip_general}")
     if p is None:
         lip_geo = a0 * lip_general
-        if lip_geo < 1.0:
-            return SupCertificate(ratio_bound, lip_geo)
-        return None
-    p = ensure_finite(p, "p")
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+        return SupCertificate(ratio_bound, lip_geo) if lip_geo < 1.0 else None
+    p = ensure_exponent(p)
     if lip_general < ((1.0 - ratio_bound) / a0) ** (1.0 / p):
         return PCertificate(p, ratio_bound, a0 ** (1.0 / p) * lip_general)
     return None

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqfix
 from seqfix import BoundViolationError, IterationTrace, TraceStep
@@ -334,3 +340,96 @@ def test_cli_batch_matches_golden_output_byte_for_byte(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (GOLDEN / "expected" / name).read_bytes(), name
+
+
+def test_presic_hint_that_rounds_to_one_is_uncertified(tmp_path, capsys):
+    def presic(coeffs):
+        return {"presic": {"rule": "affine", "coeffs": coeffs, "offset": 0.0}}
+
+    config = write_config(tmp_path, [
+        # hint 1 - 2**-53: its q rounds to 1.0
+        problem("edge-solve", "solve", map=presic([0.5, 0.4999999999999999])),
+        # certified at arity 2, but the arity-3 truncation's q rounds to 1.0
+        problem("edge-truncate", "truncate", map=presic([0.5, 0.4999999999999998]), n_max=3, base=0.0),
+    ])
+    assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
+    assert capsys.readouterr().out.splitlines() == [
+        "edge-solve solve FAILED uncertified",
+        "edge-truncate truncate FAILED uncertified truncation at arity 3: hint 0.9999999999999998 is too close to 1",
+    ]
+
+
+def test_start_too_far_from_its_image_exits_2(tmp_path):
+    far = {"linear": {"head_coeffs": [-0.5], "tail_coeff": 0.0, "tail_ratio": 0.0, "offset": 0.0}}
+    config = write_config(tmp_path, [problem("far", "solve", map=far, initial={"prefix": [1.7e308], "tail": 0.0})])
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_UNCERTIFIED, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("far solve FAILED first-step displacement inf gives a non-finite a priori bound")
+
+
+# Config fuzzing: problem entries assembled from valid and malformed parts. Sizes stay
+# bounded (k_max <= 200, n_max <= 8, at most 8 coefficients), so that every run is short.
+JUNK = [None, True, False, "x", "0.5", [], {}, [1.0], {"a": 1}, math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+def mostly(valid, malformed=st.sampled_from(JUNK)):
+    """``valid`` nine draws in ten, else ``malformed``, so that most entries reach a run."""
+    # hypothesis favours the first choices, so the malformed one is last
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: valid if ok else malformed)
+
+
+def optional_fields(**strategies):
+    """A dict of the given keys, missing one of them one draw in ten."""
+    return st.builds(lambda d, drop: {k: v for k, v in d.items() if k != drop},
+                     st.fixed_dictionaries(strategies), mostly(st.none(), st.sampled_from(sorted(strategies))))
+
+
+# A certifiable valid map has sum |b_n| <= 0.9: at most 7 head coefficients and a tail coefficient,
+# each of at most 0.1, and |tail_ratio| <= 0.5. Then no solve plans more than a few thousand
+# O(k)-cost steps; a certificate q near 1 can plan millions. 1.0 and 1e308 make a map uncertified.
+coeffs = st.one_of(st.floats(min_value=-0.1, max_value=0.1), st.sampled_from([0.0, -0.0, 1e-300, 1.0, 1e308]))
+coeff_lists = mostly(st.lists(mostly(coeffs), max_size=7))
+ratios = st.one_of(st.floats(min_value=-0.5, max_value=0.5), st.sampled_from([-0.5, 1.0]))
+points = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([0.0, 1.0, 1e-300, 1.7e308, -1e308]))
+linear_specs = optional_fields(head_coeffs=coeff_lists, tail_coeff=mostly(coeffs), tail_ratio=mostly(ratios),
+                               offset=mostly(points))
+presic_specs = optional_fields(rule=mostly(st.just("affine"), st.sampled_from(["quadratic", None, 1])),
+                               coeffs=coeff_lists, offset=mostly(points))
+map_specs = mostly(
+    st.one_of(st.builds(lambda p: {"linear": p}, linear_specs), st.builds(lambda p: {"presic": p}, presic_specs),
+              st.just({"sup_half": {}})),
+    st.sampled_from([{"sup_half": {"x": 1}}, {"quadratic": {}}, {"linear": 1}, {"linear": {}, "sup_half": {}},
+                     {}, [], "linear", None]),
+)
+counts = st.integers(min_value=1, max_value=200)
+entries = mostly(optional_fields(
+    id=mostly(st.just("p"), st.sampled_from(["bad id", "", 3, None])),
+    map=map_specs,
+    initial=mostly(optional_fields(prefix=mostly(st.lists(mostly(points), max_size=4)), tail=mostly(points))),
+    tolerance=mostly(st.sampled_from([1e-9, 1e-6, 1e-3, 0.5, 1e308]), st.sampled_from(JUNK + [0.0, -1e-6])),
+    mode=mostly(st.sampled_from(["certify", "solve", "trace", "secelean", "truncate", "compare"]),
+                st.sampled_from(["bogus", 1, None])),
+    k_max=mostly(counts, st.sampled_from(JUNK + [0, -1, 2.5, 3.0])),
+    n_max=mostly(st.integers(min_value=1, max_value=8), st.sampled_from(JUNK + [0, -1, 2.5, 3.0])),
+    base=mostly(points),
+    q0=mostly(st.floats(min_value=1e-300, max_value=0.99)),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entries, max_size=2))
+def test_cli_fuzzed_configs_exit_0_to_3_without_raising(problems):
+    # a valid id is made unique, so that duplicate ids do not hide every later check
+    problems = [dict(e, id=f"p{i}") if isinstance(e, dict) and e.get("id") == "p" else e
+                for i, e in enumerate(problems)]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"problems": problems}))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = run(str(config), str(Path(tmp) / "out"))
+    assert status in (EXIT_OK, EXIT_CONFIG, EXIT_UNCERTIFIED, EXIT_BOUND_VIOLATION)

@@ -263,7 +263,11 @@ def sup_weighted_loop(x, y, w):
 
 
 def p_weighted_loop(x, y, p, w):
-    """The weighted power distance as it read every coordinate through at() and base_dist()."""
+    """The weighted power distance as it read every coordinate through at() and base_dist().
+
+    One rule is newer than that loop: an overflowing difference gives inf, where
+    the loop computed (inf / inf)**p = nan.
+    """
     m = max(len(x.prefix), len(y.prefix), len(w.head))
     d_tail = base_dist(x.tail, y.tail)
     scaled = [w.at(n) ** (1.0 / p) * base_dist(x.at(n), y.at(n)) for n in range(m)]
@@ -271,6 +275,8 @@ def p_weighted_loop(x, y, p, w):
     top = max(scaled + [tail_anchor])
     if top == 0.0:
         return 0.0
+    if top == math.inf:
+        return math.inf
     total = sum((v / top) ** p for v in scaled if v > 0.0)
     if d_tail > 0.0:
         total += (tail_anchor / top) ** p / (1.0 - w.ratio)
@@ -297,3 +303,24 @@ def test_dist_sup_weighted_is_bit_exact(x, y, head, ratio):
 def test_dist_p_weighted_is_bit_exact(x, y, p, head, ratio):
     w = WeightSeq(head, ratio)
     assert dist_p_weighted(x, y, p, w).hex() == p_weighted_loop(x, y, p, w).hex()
+
+
+def test_power_distance_is_inf_not_nan_when_a_difference_overflows():
+    # |1e308 - (-1e308)| overflows; the factored sum would compute (inf / inf)**p = nan
+    far, near = BoundedSeq((1e308,), 0.0), BoundedSeq((-1e308,), 0.0)
+    assert dist_p_geom(far, near, 1.0, 0.5) == math.inf
+    assert dist_p_geom(far, near, 2.0, 0.5) == math.inf
+    assert dist_p_geom(BoundedSeq.constant(1e308), BoundedSeq.constant(-1e308), 2.0, 0.5) == math.inf
+    # the tail difference overflows where its weight 0.5**1100 underflows: 0.0 * inf
+    deep = BoundedSeq((0.0,) * 1100, 1e308)
+    assert dist_p_geom(deep, BoundedSeq.constant(-1e308), 2.0, 0.5) == math.inf
+
+
+@pytest.mark.parametrize("p, message", [
+    (math.nan, "^exponent must be finite"),
+    (math.inf, "^exponent must be finite"),
+    (0.5, r"^exponent must be >= 1, got 0\.5$"),
+])
+def test_power_distance_rejects_bad_exponents(p, message):
+    with pytest.raises(ValueError, match=message):
+        dist_p_geom(BoundedSeq.constant(0.0), BoundedSeq.constant(1.0), p, 0.5)

@@ -1,6 +1,7 @@
-"""The SeqMap Lipschitz protocol: lip_sup, lip_p and sup_weight.
+"""The SeqMap protocol: lip_sup, lip_p and sup_weight, difference and witnesses.
 
-The solver certifies any map through these three methods. The linear and
+The solver certifies any map through the first three methods, and the
+empirical lower bound tests a constant through the last two. The linear and
 embedded maps must certify exactly as the type-by-type search did before
 the protocol existed; a copy of that search is kept here as the reference.
 """
@@ -20,6 +21,7 @@ from seqfix import (
     SupCertificate,
     SupHalfMap,
     embed_finite,
+    empirical_lip_lower_bound,
     find_p_certificate,
     find_sup_certificate,
     secelean_iterates,
@@ -64,6 +66,9 @@ def ladder_sup_certificate(f):
         if m == 1:
             return SupCertificate(0.5, hint)
         q = ((1.0 + hint) / 2.0) ** (1.0 / (m - 1))
+        # newer than the ladder: a q or lip that rounds to 1 is no certificate, not a ValueError
+        if not (q < 1.0 and hint / q ** (m - 1) < 1.0):
+            return None
         return SupCertificate(q, hint / q ** (m - 1))
     return None
 
@@ -210,3 +215,40 @@ def test_truncation_hints_of_sup_half_and_embedded_maps(hint):
     assert truncate(SupHalfMap(), 4, 0.5).lipschitz_hint == 0.5
     g = embed_finite(FiniteArityMap(3, lambda a, b, c: a, hint))
     assert truncate(g, 5, 0.0).lipschitz_hint == hint
+
+
+class Spike(SeqMap):
+    """|x_3|: its q-weighted sup constant is q**-3, reached at the unit spike on index 3."""
+
+    def eval(self, x):
+        return abs(x.at(3))
+
+
+class SpikeWithWitness(Spike):
+    def witnesses(self, q, p):
+        yield BoundedSeq((0.0, 0.0, 0.0, 1.0), 0.0)
+
+
+def test_difference_defaults_to_subtracting_evaluations():
+    a, b = BoundedSeq((0.0, 0.0, 0.0, -0.75), 0.0), BoundedSeq.constant(0.25)
+    assert Spike().difference(a, b) == abs(Spike().eval(a) - Spike().eval(b)) == 0.5
+
+
+def test_witnesses_default_to_none_and_feed_the_empirical_bound():
+    assert list(Spike().witnesses(0.5, None)) == []
+    assert empirical_lip_lower_bound(SpikeWithWitness(), 0.5, trials=1) == 8.0
+    assert empirical_lip_lower_bound(Spike(), 0.5, trials=1) < 8.0
+
+
+@pytest.mark.parametrize("hint", [1.0 - 2.0**-53, 1.0 - 2e-16, 1.0 - 1e-15])
+def test_sup_weight_of_hints_that_round_to_one_never_raises(hint):
+    for m in range(2, 200):
+        f = embed_finite(FiniteArityMap(m, lambda *a: a[0], hint))
+        q = f.sup_weight()
+        cert = find_sup_certificate(f)
+        if q is None:
+            assert cert is None
+        else:
+            assert q < 1.0 and f.lip_sup(q) < 1.0
+            assert cert == SupCertificate(q, f.lip_sup(q))
+    assert embed_finite(FiniteArityMap(3, lambda *a: a[0], 1.0 - 2.0**-53)).sup_weight() is None

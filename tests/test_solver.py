@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqfix import (
     BoundedSeq,
@@ -405,3 +407,64 @@ def test_residual_above_the_roundoff_floor_is_still_a_violation():
     f = LinearSeqMap((0.9,), offset=1.0)  # true constant 0.9, claimed 0.01
     with pytest.raises(BoundViolationError):
         solve_fixed_point(f, ZERO, SupCertificate(0.5, 0.01), 1e-17)
+
+
+def test_truncation_without_a_certificate_is_uncertified():
+    # the arity-2 map certifies at q = 1 - 2**-53; its arity-3 truncation's q rounds to 1
+    g = FiniteArityMap(2, lambda a, b: 0.5 * a + 0.4999999999999998 * b, 0.9999999999999998)
+    f = embed_finite(g)
+    cert = find_sup_certificate(f)
+    assert cert is not None
+    with pytest.raises(UncertifiedMapError, match="^uncertified truncation at arity 3: hint "):
+        truncation_study(f, cert, 0.0, 3, 1e-6)  # base 0.0 is the fixed point, so every run is 1 step
+
+
+def test_start_too_far_from_its_image_is_a_value_error():
+    # the first lifted step moves coordinate 0 from 1.7e308 to -8.5e307: the gap overflows
+    f = LinearSeqMap((-0.5,))
+    x0 = BoundedSeq((1.7e308,), 0.0)
+    for cert in (find_sup_certificate(f), find_p_certificate(f, 0.5)):
+        assert cert.gap(lift_step(f, x0)[1], x0) == math.inf
+        with pytest.raises(ValueError, match="^first-step displacement inf gives a non-finite a priori bound"):
+            solve_fixed_point(f, x0, cert, 1e-6)
+
+
+def signed_linear(head, tail_coeff, tail_ratio, abs_sum, offset):
+    """The map with these coefficient signs and shapes, rescaled so that sum |b_n| = abs_sum."""
+    f = LinearSeqMap(tuple(head), tail_coeff, tail_ratio, offset)
+    total = f.sum_abs_coeffs()
+    if total == 0.0:
+        return f
+    # b / total first: a subnormal total would make abs_sum / total overflow
+    return LinearSeqMap(tuple(b / total * abs_sum for b in head), tail_coeff / total * abs_sum, tail_ratio, offset)
+
+
+unit = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+certifiable_maps = st.builds(
+    signed_linear,
+    st.lists(unit, max_size=4),
+    unit,
+    st.floats(min_value=-0.9, max_value=0.9, allow_nan=False),
+    st.floats(min_value=0.0, max_value=0.9, allow_nan=False),
+    st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+starts = st.builds(BoundedSeq, st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=3).map(tuple),
+                   st.floats(min_value=-2.0, max_value=2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(certifiable_maps, starts, st.floats(min_value=1e-8, max_value=1e-3))
+def test_certified_solve_is_sound_on_random_linear_maps(f, x0, tol):
+    cert = find_sup_certificate(f)
+    assert cert is not None
+    t = f.fixed_point()
+    sol = solve_fixed_point(f, x0, cert, tol)
+    assert abs(sol.value - t) <= tol
+    # The bound holds in exact arithmetic and can be tight: for 0.75 * x_0 from 1.0 the bound and
+    # the error are both 0.75**k. Each float step adds a few ulps of the values it touches, and
+    # later steps damp them by the step factor, so they sum to at most ulps / (1 - step factor).
+    scale = max(abs(t), *map(abs, x0.values()))
+    for step in sol.trace.steps:
+        scale = max(scale, abs(step.value))
+        slack = 4 * math.ulp(scale) / (1.0 - cert.step_factor())
+        assert step.bound >= abs(step.value - t) - slack, step
