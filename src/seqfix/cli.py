@@ -72,7 +72,7 @@ class ProblemConfig:
             pid = raw["id"]
             map_spec = raw["map"]
             initial = raw["initial"]
-            tolerance = float(raw["tolerance"])
+            tolerance = raw["tolerance"]
             mode = raw["mode"]
         except KeyError as e:
             raise ConfigError(f"problem missing required field {e.args[0]!r}") from None
@@ -80,17 +80,18 @@ class ProblemConfig:
             raise ConfigError(f"problem id must match {_ID_PATTERN.pattern}, got {pid!r}")
         if mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r} for problem {pid!r}")
+        tolerance = _number(tolerance, "tolerance", pid)
         if not 0.0 < tolerance < math.inf:
             raise ConfigError(f"tolerance must be positive and finite for problem {pid!r}")
         map_spec = _normalize_map_spec(pid, map_spec)
         if not isinstance(initial, dict):
             raise ConfigError(f"initial must be an object for problem {pid!r}")
-        prefix = tuple(ensure_finite(v, "initial prefix entry") for v in initial.get("prefix", []))
-        tail = ensure_finite(initial.get("tail", 0.0), "initial tail")
+        prefix = tuple(_numbers(initial.get("prefix", []), "initial prefix", pid))
+        tail = _number(initial.get("tail", 0.0), "initial tail", pid)
         k_max = _integer(raw.get("k_max"), "k_max", pid)
         n_max = _integer(raw.get("n_max"), "n_max", pid)
-        base = raw.get("base")
-        q0 = raw.get("q0")
+        base = None if raw.get("base") is None else _number(raw["base"], "base", pid)
+        q0 = None if raw.get("q0") is None else _number(raw["q0"], "q0", pid)
         if mode in ("trace", "secelean", "compare"):
             if k_max is None or k_max < 1:
                 raise ConfigError(f"mode {mode!r} needs a positive k_max for problem {pid!r}")
@@ -99,11 +100,8 @@ class ProblemConfig:
                 raise ConfigError(f"mode 'truncate' needs a positive n_max for problem {pid!r}")
             if base is None:
                 raise ConfigError(f"mode 'truncate' needs a base point for problem {pid!r}")
-            base = ensure_finite(base, "base")
-        if q0 is not None:
-            q0 = float(q0)
-            if not 0.0 < q0 < 1.0:
-                raise ConfigError(f"q0 must lie in (0, 1) for problem {pid!r}")
+        if q0 is not None and not 0.0 < q0 < 1.0:
+            raise ConfigError(f"q0 must lie in (0, 1) for problem {pid!r}")
         return cls(pid, map_spec, prefix, tail, tolerance, mode, k_max=k_max, n_max=n_max, base=base, q0=q0)
 
     def to_dict(self) -> dict:
@@ -130,11 +128,28 @@ class ProblemConfig:
         return _MAP_KINDS[kind][1](params)
 
 
+def _number(value: object, what: str, pid: str) -> float:
+    """``value`` as a finite float; only a JSON number is one, not a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number for problem {pid!r}, got {value!r}")
+    try:
+        return ensure_finite(value, what)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{what} is too large for problem {pid!r}") from None
+
+
+def _numbers(values: object, what: str, pid: str) -> list[float]:
+    """A JSON list of numbers, each checked by :func:`_number`."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list for problem {pid!r}, got {values!r}")
+    return [_number(v, f"{what} entry", pid) for v in values]
+
+
 def _integer(value: object, what: str, pid: str) -> int | None:
-    """``value`` as an int (None stays None); booleans and non-integral numbers are rejected."""
+    """``value`` as an int (None stays None); only an integral JSON number is one."""
     if value is None:
         return None
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if not _number(value, what, pid).is_integer():
         raise ConfigError(f"{what} must be an integer for problem {pid!r}, got {value!r}")
     return int(value)
 
@@ -152,10 +167,10 @@ def _normalize_map_spec(pid: str, spec: object) -> dict:
 
 def _normalize_linear(pid: str, params: dict) -> dict:
     norm = {
-        "head_coeffs": [ensure_finite(v, "coefficient") for v in params.get("head_coeffs", [])],
-        "tail_coeff": ensure_finite(params.get("tail_coeff", 0.0), "tail coefficient"),
-        "tail_ratio": ensure_finite(params.get("tail_ratio", 0.0), "tail ratio"),
-        "offset": ensure_finite(params.get("offset", 0.0), "offset"),
+        "head_coeffs": _numbers(params.get("head_coeffs", []), "head_coeffs", pid),
+        "tail_coeff": _number(params.get("tail_coeff", 0.0), "tail_coeff", pid),
+        "tail_ratio": _number(params.get("tail_ratio", 0.0), "tail_ratio", pid),
+        "offset": _number(params.get("offset", 0.0), "offset", pid),
     }
     if abs(norm["tail_ratio"]) >= 1.0:
         raise ConfigError(f"linear map for problem {pid!r} needs |tail_ratio| < 1")
@@ -176,14 +191,14 @@ def _normalize_presic(pid: str, params: dict) -> dict:
     rule = params.get("rule")
     if rule != "affine":
         raise ConfigError(f"unknown presic rule {rule!r} for problem {pid!r} (supported: 'affine')")
-    coeffs = [ensure_finite(v, "coefficient") for v in params.get("coeffs", [])]
+    coeffs = _numbers(params.get("coeffs", []), "coeffs", pid)
     if not coeffs:
         raise ConfigError(f"presic map for problem {pid!r} needs nonempty coeffs")
     arity = _integer(params.get("arity", len(coeffs)), "presic arity", pid)
     if arity != len(coeffs):
         raise ConfigError(f"presic arity must match len(coeffs) for problem {pid!r}")
-    return {"rule": "affine", "arity": arity, "coeffs": coeffs,
-            "offset": ensure_finite(params.get("offset", 0.0), "offset")}
+    offset = _number(params.get("offset", 0.0), "offset", pid)
+    return {"rule": "affine", "arity": arity, "coeffs": coeffs, "offset": offset}
 
 
 def _build_presic(params: dict) -> SeqMap:
@@ -208,7 +223,7 @@ def parse_config(text: str) -> list[ProblemConfig]:
     """Parse and validate a JSON config document."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer literal beyond Python's digit limit
         raise ConfigError(f"invalid JSON: {e}") from None
     if not isinstance(raw, dict) or "problems" not in raw:
         raise ConfigError("config must be an object with a 'problems' list")
@@ -249,10 +264,7 @@ def emit_trace(trace: IterationTrace, path: Path | str) -> None:
 
 
 def _write_lines(path: Path | str, lines: list[str]) -> None:
-    try:
-        Path(path).write_text("\n".join(lines) + "\n")
-    except OSError as e:
-        raise OSError(f"cannot write output table {path}: {e}") from e
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _run_problem(p: ProblemConfig, out_dir: Path, seed: int) -> tuple[str, int]:
@@ -334,20 +346,24 @@ def run(config_path: str, out_dir: str, seed: int = 0) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if problems:
-        _write_lines(out / "config_echo.json",
-                     [json.dumps(config_to_dict(problems), indent=2, sort_keys=True)])
     worst = EXIT_OK
-    for p in problems:
-        try:
-            summary, status = _run_problem(p, out, seed)
-        except BoundViolationError as e:
-            summary, status = f"{p.id} {p.mode} FAILED bound-violation: {e}", EXIT_BOUND_VIOLATION
-        except (UncertifiedMapError, ValueError) as e:
-            summary, status = f"{p.id} {p.mode} FAILED {e}", EXIT_UNCERTIFIED
-        print(summary)
-        worst = max(worst, status)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if problems:
+            _write_lines(out / "config_echo.json",
+                         [json.dumps(config_to_dict(problems), indent=2, sort_keys=True)])
+        for p in problems:
+            try:
+                summary, status = _run_problem(p, out, seed)
+            except BoundViolationError as e:
+                summary, status = f"{p.id} {p.mode} FAILED bound-violation: {e}", EXIT_BOUND_VIOLATION
+            except (UncertifiedMapError, ValueError) as e:
+                summary, status = f"{p.id} {p.mode} FAILED {e}", EXIT_UNCERTIFIED
+            print(summary)
+            worst = max(worst, status)
+    except OSError as e:
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return worst
 
 

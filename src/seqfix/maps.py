@@ -19,8 +19,10 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Iterator
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import ClassVar
 
 from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
@@ -45,6 +47,17 @@ class SeqMap(ABC):
     def diagonal(self, t: float) -> float:
         """Value on the constant sequence (t, t, ...)."""
         return self.eval(BoundedSeq.constant(t))
+
+    def iterates(self, x0: BoundedSeq) -> Iterator[float]:
+        """The generalized iterates v_1, v_2, ... of the lifted map from ``x0``, endlessly.
+
+        v_k is the value the k-th lifted step prepends. Every override
+        yields the same values. This default applies :func:`lift_step`
+        once per value, so step k costs O(k) as the sequence grows.
+        """
+        while True:
+            value, x0 = lift_step(self, x0)
+            yield value
 
     def lip_sup(self, q: float) -> float:
         """A Lipschitz constant for the q-weighted sup distance; ``inf`` when unknown or divergent.
@@ -103,6 +116,12 @@ class SeqMap(ABC):
             for v in x.values():
                 if not lo <= v <= hi:
                     raise ValueError(f"coordinate {v!r} outside map domain [{lo}, {hi}]")
+
+
+def lift_step(f: SeqMap, x: BoundedSeq) -> tuple[float, BoundedSeq]:
+    """One application of the lifted map: (f(x), the sequence with f(x) prepended)."""
+    value = f.eval(x)
+    return value, x.prepend(value)
 
 
 @dataclass(frozen=True)
@@ -403,6 +422,41 @@ class FiniteArityMap:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         return ensure_finite(self.rule(*args), "map value")
 
+    def iterates(self, window: Sequence[float]) -> Iterator[float]:
+        """Endlessly, the map's value at ``window``, which then enters the window.
+
+        ``window`` holds ``arity`` values, newest first, as the rule takes
+        them; each new value pushes the oldest one out. This is the
+        recursion x_{m+k} = g(x_{k+m-1}, ..., x_k) and, from the first m
+        coordinates of a start, the lifted iteration of the embedded map.
+
+        Once the rule returns the value that fills its whole window, bit for
+        bit (0.0 and -0.0 differ), the recursion is stationary: the rule is
+        deterministic, so every later value is that value, and it is
+        repeated without calling the rule.
+        """
+        live = deque(window, maxlen=self.arity)  # appendleft drops the oldest value
+        newest = live[0]
+        run = 1  # length of the run of values bitwise equal to ``newest``, seeds included
+        while run < self.arity and _same_bits(live[run], newest):
+            run += 1
+        call, push = self.__call__, live.appendleft
+        while True:
+            value = call(*live)
+            push(value)
+            if _same_bits(value, newest):
+                run += 1
+                if run > self.arity:
+                    yield from repeat(value)
+            else:
+                newest, run = value, 1
+            yield value
+
+
+def _same_bits(a: float, b: float) -> bool:
+    """Whether two finite floats are the same float, telling -0.0 from 0.0."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedMap(SeqMap):
@@ -416,6 +470,15 @@ class EmbeddedMap(SeqMap):
 
     def eval(self, x: BoundedSeq) -> float:
         return self.finite_map(*x.head(self.finite_map.arity))
+
+    def iterates(self, x0: BoundedSeq) -> Iterator[float]:
+        """The finite map's window loop from ``x0.head(m)``, O(m) per value.
+
+        The lifted step reads only those m coordinates, newest first. The
+        window keeps each value's sign, where a ``BoundedSeq`` would trim a
+        -0.0 that equals a 0.0 tail.
+        """
+        return self.finite_map.iterates(x0.head(self.arity))
 
     def lip_sup(self, q: float) -> float:
         """``hint / q**(m-1)``; ``inf`` without a hint or when the weight underflows.

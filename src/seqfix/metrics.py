@@ -108,12 +108,16 @@ def dist_sup_weighted(x: BoundedSeq, y: BoundedSeq, w: WeightSeq) -> float:
     head vary; beyond that the coordinate distance is constant and the
     weights are nonincreasing, so the tail contributes its first weight.
     The entries of a ``BoundedSeq`` are finite floats already, so they are
-    read without validating them again.
+    read without validating them again. A tail difference that overflows
+    makes the distance ``inf``, never ``nan``, also where its weight
+    underflowed to 0.0.
     """
     if not validate_sup_weights(w):
         raise ValueError("weights do not define a sup-type metric (need positive head, ratio in (0, 1])")
     m = max(len(x.prefix), len(y.prefix), len(w.head))
     best = w.at(m) * abs(x.tail - y.tail)
+    if math.isnan(best):  # 0.0 * inf
+        return math.inf
     for n, (a, b) in enumerate(zip(x.head(m), y.head(m))):
         v = w.at(n) * abs(a - b)
         if v > best:

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain, islice
 
-from .maps import FiniteArityMap, SeqMap, embed_finite, truncate
+# lift_step lives in maps, where SeqMap.iterates calls it; seqfix.solver.lift_step stays public
+from .maps import FiniteArityMap, SeqMap, embed_finite, lift_step, truncate  # noqa: F401
 from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
 from .sequences import BoundedSeq, ensure_finite
 
@@ -136,12 +138,6 @@ class IterationTrace:
     initial_gap: float | None
 
 
-def lift_step(f: SeqMap, x: BoundedSeq) -> tuple[float, BoundedSeq]:
-    """One application of the lifted map: (f(x), the sequence with f(x) prepended)."""
-    value = f.eval(x)
-    return value, x.prepend(value)
-
-
 def generalized_iterates(
     f: SeqMap,
     x0: BoundedSeq,
@@ -156,29 +152,17 @@ def generalized_iterates(
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    value, x1 = lift_step(f, x0)
-    d1 = cert.gap(x1, x0) if cert is not None else None
-    return _iterates_from(f, value, x1, d1, k_max, cert)
+    values = f.iterates(x0)
+    v1 = next(values)
+    d1 = cert.gap(x0.prepend(v1), x0) if cert is not None else None
+    return _trace(f, chain((v1,), islice(values, k_max - 1)), d1, cert)
 
 
-def _iterates_from(
-    f: SeqMap,
-    value: float,
-    x1: BoundedSeq,
-    d1: float | None,
-    k_max: int,
-    cert: ContractionCertificate | None,
-) -> IterationTrace:
-    """The trace of :func:`generalized_iterates`, given its first step ``(value, x1)`` and d1."""
-    steps: list[TraceStep] = []
-    cur = x1
-    for k in range(1, k_max + 1):
-        if k > 1:
-            value, cur = lift_step(f, cur)
-        residual = abs(f.diagonal(value) - value)
-        bound = cert.a_priori_bound(k, d1) if cert is not None else None
-        steps.append(TraceStep(k, value, bound, residual))
-    return IterationTrace(tuple(steps), d1)
+def _trace(f: SeqMap, values: Iterable[float], d1: float | None, cert: ContractionCertificate | None) -> IterationTrace:
+    """The trace of the iterates ``values``, which start at v_1, with residuals and bounds."""
+    steps = tuple(TraceStep(k, v, None if cert is None else cert.a_priori_bound(k, d1), abs(f.diagonal(v) - v))
+                  for k, v in enumerate(values, 1))
+    return IterationTrace(steps, d1)
 
 
 def find_sup_certificate(f: SeqMap) -> SupCertificate | None:
@@ -280,10 +264,11 @@ def solve_fixed_point(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    value, x1 = lift_step(f, x0)
-    d1 = cert.gap(x1, x0)
+    values = f.iterates(x0)
+    v1 = next(values)
+    d1 = cert.gap(x0.prepend(v1), x0)
     k = _smallest_k(cert, d1, tol)
-    trace = _iterates_from(f, value, x1, d1, k, cert)
+    trace = _trace(f, chain((v1,), islice(values, k - 1)), d1, cert)
     last = trace.steps[-1]
     c = cert.diagonal_lip()
     allowance = tol * (1.0 + c) / (1.0 - c)
@@ -344,45 +329,21 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
     """The product-space recursion x_{m+k} = g(x_{k+m-1}, ..., x_k).
 
     ``seeds`` are x_0 .. x_{m-1} oldest first; ``g`` receives its window
-    newest first. Returns the ``k_max`` newly generated values. When
-    ``Lip(g) < 1`` for the maximum metric these converge to the unique
-    value t with g(t, ..., t) = t, and they coincide exactly with the
-    generalized iterates of the embedded map started at the reversed seeds.
-
-    Once g returns the value that fills its whole window, bit for bit
-    (0.0 and -0.0 differ), the recursion is stationary: ``g`` is
-    deterministic, so every later value is that value, and the remaining
-    steps are filled in without calling ``g``.
+    newest first. Returns the ``k_max`` newly generated values, the first
+    ``k_max`` of :meth:`FiniteArityMap.iterates` from the reversed seeds.
+    When ``Lip(g) < 1`` for the maximum metric these converge to the unique
+    value t with g(t, ..., t) = t. They are, bit for bit, the generalized
+    iterates of the embedded map from any start whose first m coordinates
+    are the reversed seeds: :meth:`EmbeddedMap.iterates` runs the same
+    window loop. That loop stops calling ``g`` once the recursion is
+    stationary, so ``g`` must be deterministic.
     """
     if len(seeds) != g.arity:
         raise ValueError(f"expected {g.arity} seeds, got {len(seeds)}")
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    # newest first; appendleft drops the oldest value, so no step copies the history
-    window = deque(reversed([ensure_finite(s, "seed") for s in seeds]), maxlen=g.arity)
-    newest = window[0]
-    run = 1  # length of the run of values bitwise equal to ``newest``, seeds included
-    while run < len(window) and _same_bits(window[run], newest):
-        run += 1
-    out: list[float] = []
-    for _ in range(k_max):
-        value = g(*window)
-        window.appendleft(value)
-        out.append(value)
-        if _same_bits(value, newest):
-            run += 1
-            if run > g.arity:
-                out += [value] * (k_max - len(out))
-                break
-        else:
-            newest = value
-            run = 1
-    return out
-
-
-def _same_bits(a: float, b: float) -> bool:
-    """Whether two finite floats are the same float, telling -0.0 from 0.0."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    window = tuple(reversed([ensure_finite(s, "seed") for s in seeds]))
+    return list(islice(g.iterates(window), k_max))
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,54 @@ def test_malformed_values_exit_1(tmp_path, capsys, entry):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("entry", [
+    problem("string-coeffs", "solve", map={"linear": {"head_coeffs": "123"}}),
+    problem("string-coeff", "solve", map={"linear": {"head_coeffs": ["0.5"]}}),
+    problem("string-offset", "solve", map={"linear": {"head_coeffs": [0.5], "offset": "1"}}),
+    problem("string-tolerance", "solve", tolerance="1e-6"),
+    problem("string-k-max", "trace", k_max="7"),
+    problem("string-n-max", "truncate", n_max="3", base=0.0),
+    problem("string-base", "truncate", n_max=3, base="0"),
+    problem("string-q0", "certify", q0="0.5"),
+    problem("string-prefix", "solve", initial={"prefix": "12", "tail": 0.0}),
+    problem("string-tail", "solve", initial={"prefix": [], "tail": "0"}),
+    problem("string-presic-coeffs", "solve", map={"presic": {"rule": "affine", "coeffs": "12", "offset": 1.0}}),
+    problem("string-presic-arity", "solve",
+            map={"presic": {"rule": "affine", "coeffs": [0.5], "arity": "1", "offset": 1.0}}),
+], ids=lambda entry: entry["id"])
+def test_numeric_strings_are_not_numbers(tmp_path, capsys, entry):
+    with pytest.raises(ConfigError):
+        parse_config(json.dumps({"problems": [entry]}))
+    assert run(write_config(tmp_path, [entry]), str(tmp_path / "out")) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_integers_beyond_the_float_range_exit_1(tmp_path, capsys):
+    huge = json.dumps({"problems": [problem("huge", "trace", tolerance=1.0, k_max=3)]})
+    for text in (huge.replace('"tolerance": 1.0', '"tolerance": 1' + "0" * 400),
+                 huge.replace('"k_max": 3', '"k_max": 1' + "0" * 400),
+                 huge.replace('"k_max": 3', '"k_max": ' + "1" * 5000)):  # beyond int parsing's digit limit
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        assert run(str(path), str(tmp_path / "out")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("out", ["a-file", "a-file/sub", "taken"])
+def test_unusable_output_exits_1_without_traceback(tmp_path, out):
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "taken" / "x.csv").mkdir(parents=True)  # the table's path is a directory
+    config = write_config(tmp_path, [problem("x", "solve")])
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: cannot write output: ")
+
+
 def test_integral_counts_parse_as_ints():
     [entry] = parse_config(json.dumps({"problems": [problem("a", "trace", k_max=3.0)]}))
     assert entry.k_max == 3 and isinstance(entry.k_max, int)
@@ -374,7 +422,8 @@ def test_start_too_far_from_its_image_exits_2(tmp_path):
 
 # Config fuzzing: problem entries assembled from valid and malformed parts. Sizes stay
 # bounded (k_max <= 200, n_max <= 8, at most 8 coefficients), so that every run is short.
-JUNK = [None, True, False, "x", "0.5", [], {}, [1.0], {"a": 1}, math.nan, math.inf, -math.inf, 1e308, -1e308]
+JUNK = [None, True, False, "x", "0.5", "7", "1e-6", "123", [], {}, [1.0], {"a": 1}, math.nan, math.inf, -math.inf,
+        1e308, -1e308]
 
 
 def mostly(valid, malformed=st.sampled_from(JUNK)):

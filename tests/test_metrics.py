@@ -316,6 +316,13 @@ def test_power_distance_is_inf_not_nan_when_a_difference_overflows():
     assert dist_p_geom(deep, BoundedSeq.constant(-1e308), 2.0, 0.5) == math.inf
 
 
+def test_sup_distance_is_inf_not_nan_when_an_overflowing_tail_meets_an_underflowed_weight():
+    # the tail's weight 0.5**1100 underflows to 0.0 where |1e308 - (-1e308)| overflows: 0.0 * inf
+    deep = BoundedSeq((0.0,) * 1100, 1e308)
+    assert dist_sup_geom(deep, BoundedSeq.constant(-1e308), 0.5) == math.inf
+    assert dist_sup_weighted(deep, BoundedSeq.constant(-1e308), WeightSeq((), 0.5)) == math.inf
+
+
 @pytest.mark.parametrize("p, message", [
     (math.nan, "^exponent must be finite"),
     (math.inf, "^exponent must be finite"),

@@ -263,7 +263,7 @@ def test_solve_lifts_once_per_iterate(monkeypatch):
         return lift_step(f, x)
 
     x0 = BoundedSeq((0.5, -1.0), 2.0)
-    monkeypatch.setattr("seqfix.solver.lift_step", counting_lift)
+    monkeypatch.setattr("seqfix.maps.lift_step", counting_lift)
     sol = solve_fixed_point(RECUR, x0, RECUR_CERT, 1e-6)
     assert len(calls) == sol.k_used
     assert sol.trace == generalized_iterates(RECUR, x0, sol.k_used, RECUR_CERT)

@@ -9,7 +9,7 @@ never stops early, for the product-space recursion.
 import math
 from dataclasses import replace
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqfix import (
@@ -17,7 +17,9 @@ from seqfix import (
     FiniteArityMap,
     LinearSeqMap,
     SeqMap,
+    embed_finite,
     find_sup_certificate,
+    generalized_iterates,
     presic_iterates,
     truncate,
     truncation_study,
@@ -202,6 +204,26 @@ def test_presic_signed_zero_alternation_is_not_frozen():
     values = presic_iterates(g, (0.0,), 9)
     assert bits(values) == bits(presic_reference(g, (0.0,), 9))
     assert bits(values) == bits([-0.0, 0.0] * 4 + [-0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(contractive_affine(), st.floats(min_value=-5.0, max_value=5.0))
+@example(([-0.5], -0.0, [0.0], 9), 0.0)
+def test_presic_matches_embedded_iterates_bit_for_bit(case, tail):
+    coeffs, offset, seeds, k_max = case
+    g = affine(coeffs, offset)
+    start = BoundedSeq(tuple(reversed(seeds)), tail)
+    # canonical trimming turns a trailing -0.0 into the tail's 0.0; such a start reads other seeds
+    assume(bits(start.head(g.arity)) == bits(reversed(seeds)))
+    k_max = max(k_max, 1)
+    trace = generalized_iterates(embed_finite(g), start, k_max)
+    assert bits(s.value for s in trace.steps) == bits(presic_iterates(g, tuple(seeds), k_max))
+
+
+def test_embedded_iterates_keep_the_sign_of_zero():
+    g = FiniteArityMap(1, lambda a: -0.5 * a)
+    trace = generalized_iterates(embed_finite(g), BoundedSeq.constant(0.0), 9)
+    assert bits(s.value for s in trace.steps) == bits(presic_iterates(g, (0.0,), 9))
 
 
 def test_presic_stops_calling_the_rule_once_stationary():
