@@ -33,6 +33,7 @@ from .solver import (
 )
 
 _MODES = ("certify", "solve", "trace", "secelean", "truncate", "compare")
+_PROBLEM_KEYS = ("id", "map", "initial", "tolerance", "mode", "k_max", "n_max", "base", "q0")
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
 
 EXIT_OK = 0
@@ -80,12 +81,14 @@ class ProblemConfig:
             raise ConfigError(f"problem id must match {_ID_PATTERN.pattern}, got {pid!r}")
         if mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r} for problem {pid!r}")
+        _check_keys(raw, _PROBLEM_KEYS, f"problem {pid!r}")
         tolerance = _number(tolerance, "tolerance", pid)
         if not 0.0 < tolerance < math.inf:
             raise ConfigError(f"tolerance must be positive and finite for problem {pid!r}")
         map_spec = _normalize_map_spec(pid, map_spec)
         if not isinstance(initial, dict):
             raise ConfigError(f"initial must be an object for problem {pid!r}")
+        _check_keys(initial, ("prefix", "tail"), f"initial of problem {pid!r}")
         prefix = tuple(_numbers(initial.get("prefix", []), "initial prefix", pid))
         tail = _number(initial.get("tail", 0.0), "initial tail", pid)
         k_max = _integer(raw.get("k_max"), "k_max", pid)
@@ -125,7 +128,7 @@ class ProblemConfig:
         kind, params = next(iter(self.map_spec.items()))
         if kind not in _MAP_KINDS:
             raise ConfigError(f"unknown map kind {kind!r}")
-        return _MAP_KINDS[kind][1](params)
+        return _MAP_KINDS[kind][2](params)
 
 
 def _number(value: object, what: str, pid: str) -> float:
@@ -154,6 +157,14 @@ def _integer(value: object, what: str, pid: str) -> int | None:
     return int(value)
 
 
+def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Reject every key of ``obj`` that is not in ``allowed``, so that a misspelled key is no silent default."""
+    unknown = [key for key in obj if key not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}; "
+                          f"allowed: {', '.join(allowed) or 'none'}")
+
+
 def _normalize_map_spec(pid: str, spec: object) -> dict:
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError(f"map for problem {pid!r} must be an object with exactly one kind")
@@ -162,7 +173,9 @@ def _normalize_map_spec(pid: str, spec: object) -> dict:
         raise ConfigError(f"map parameters for problem {pid!r} must be an object")
     if kind not in _MAP_KINDS:
         raise ConfigError(f"unknown map kind {kind!r} for problem {pid!r}")
-    return {kind: _MAP_KINDS[kind][0](pid, params)}
+    keys, normalize, _ = _MAP_KINDS[kind]
+    _check_keys(params, keys, f"{kind} map of problem {pid!r}")
+    return {kind: normalize(pid, params)}
 
 
 def _normalize_linear(pid: str, params: dict) -> dict:
@@ -179,12 +192,6 @@ def _normalize_linear(pid: str, params: dict) -> dict:
 
 def _build_linear(params: dict) -> LinearSeqMap:
     return LinearSeqMap(tuple(params["head_coeffs"]), params["tail_coeff"], params["tail_ratio"], params["offset"])
-
-
-def _normalize_sup_half(pid: str, params: dict) -> dict:
-    if params:
-        raise ConfigError(f"sup_half map for problem {pid!r} takes no parameters")
-    return {}
 
 
 def _normalize_presic(pid: str, params: dict) -> dict:
@@ -211,11 +218,11 @@ def _build_presic(params: dict) -> SeqMap:
     return embed_finite(FiniteArityMap(len(coeffs), rule, sum(abs(c) for c in coeffs)))
 
 
-#: map kind -> (normalize its config parameters for a problem id, build the map from them)
+#: map kind -> (its parameter keys, normalize its parameters for a problem id, build the map from them)
 _MAP_KINDS = {
-    "linear": (_normalize_linear, _build_linear),
-    "sup_half": (_normalize_sup_half, lambda params: SupHalfMap()),
-    "presic": (_normalize_presic, _build_presic),
+    "linear": (("head_coeffs", "tail_coeff", "tail_ratio", "offset"), _normalize_linear, _build_linear),
+    "sup_half": ((), lambda pid, params: {}, lambda params: SupHalfMap()),
+    "presic": (("rule", "arity", "coeffs", "offset"), _normalize_presic, _build_presic),
 }
 
 
@@ -227,6 +234,7 @@ def parse_config(text: str) -> list[ProblemConfig]:
         raise ConfigError(f"invalid JSON: {e}") from None
     if not isinstance(raw, dict) or "problems" not in raw:
         raise ConfigError("config must be an object with a 'problems' list")
+    _check_keys(raw, ("problems",), "config")
     problems = raw["problems"]
     if not isinstance(problems, list):
         raise ConfigError("'problems' must be a list")

@@ -29,7 +29,6 @@ from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
 from .sequences import BoundedSeq, ensure_finite
 
 
-_BISECT_STEPS = 50
 #: deepest coordinate index a linear map's witness inputs reach
 _WITNESS_DEPTH = 64
 
@@ -62,21 +61,15 @@ class SeqMap(ABC):
     def lip_sup(self, q: float) -> float:
         """A Lipschitz constant for the q-weighted sup distance; ``inf`` when unknown or divergent.
 
-        At q = 1 this is the plain sup distance, which gives the Secelean
-        default constant and the truncation hints.
+        :func:`~seqfix.solver.find_sup_certificate` certifies at the q
+        where it falls to q. At q = 1 this is the plain sup distance, which
+        gives the Secelean default constant and the truncation hints.
         """
         return math.inf
 
     def lip_p(self, p: float, q: float) -> float:
         """A Lipschitz constant for the (p, q) power distance; ``inf`` when unknown or divergent."""
         return math.inf
-
-    def sup_weight(self) -> float | None:
-        """A weight q in (0, 1) with ``lip_sup(q) < 1``, or None when the map knows none.
-
-        :func:`~seqfix.solver.find_sup_certificate` certifies at this q.
-        """
-        return None
 
     def difference(self, a: BoundedSeq, b: BoundedSeq) -> float:
         """|f(a) - f(b)|, the numerator of every empirical Lipschitz ratio."""
@@ -288,32 +281,6 @@ class LinearSeqMap(SeqMap):
             total += (abs(self.tail_coeff) / q**n) / (1.0 - r / q)
         return total
 
-    def sup_weight(self) -> float | None:
-        """Bisect for a q where :meth:`lip_sup` reaches the midpoint between sum |b_n| and 1.
-
-        None when sum |b_n| >= 1: the constant is nonincreasing in q, so it
-        would already be >= 1 at q = 1. A map with no coefficients gets 1/2.
-        """
-        total = self.sum_abs_coeffs()
-        if total >= 1.0:
-            return None
-        if total == 0.0:
-            return 0.5
-        target = (1.0 + total) / 2.0
-        lo_edge = abs(self.tail_ratio) if self.tail_coeff != 0.0 else 0.0
-        lo, hi = lo_edge, 1.0
-        exceeded = False
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if self.lip_sup(mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-                exceeded = True
-        if not exceeded:
-            return 0.5 * (lo_edge + 1.0)
-        return hi if hi < 1.0 else None
-
     def lip_p(self, p: float, q: float) -> float:
         """Lipschitz constant for the (p, q) power distance.
 
@@ -489,18 +456,6 @@ class EmbeddedMap(SeqMap):
         hint = self.finite_map.lipschitz_hint
         w = q ** (self.arity - 1)
         return math.inf if hint is None or w == 0.0 else hint / w
-
-    def sup_weight(self) -> float | None:
-        """The q with q**(m-1) = (1 + hint) / 2, midway between the hint and 1 (1/2 for m = 1).
-
-        None when rounding defeats that q: for a hint within about 1e-15 of
-        1, q rounds to 1.0 or ``lip_sup(q)`` to 1 or above.
-        """
-        hint = self.finite_map.lipschitz_hint
-        if hint is None or hint >= 1.0:
-            return None
-        q = 0.5 if self.arity == 1 else ((1.0 + hint) / 2.0) ** (1.0 / (self.arity - 1))
-        return q if q < 1.0 and self.lip_sup(q) < 1.0 else None
 
 
 def embed_finite(g: FiniteArityMap) -> EmbeddedMap:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -165,13 +165,38 @@ def _trace(f: SeqMap, values: Iterable[float], d1: float | None, cert: Contracti
     return IterationTrace(steps, d1)
 
 
-def find_sup_certificate(f: SeqMap) -> SupCertificate | None:
-    """The sup-distance certificate at the map's own weight :meth:`SeqMap.sup_weight`.
+#: bisection steps on [0, 1]: the floats just below 1 are 2**-53 apart, so 53 halvings can reach 1 - 2**-53
+_BISECT_STEPS = 53
 
-    None when the map offers no weight, so it is reported uncertified.
+
+def _crossing(lip_at: Callable[[float], float]) -> float:
+    """Bisect [0, 1] for the weight where ``lip_at`` falls to the weight itself.
+
+    Returns ``hi``, which is 1.0 when no tested weight q had
+    ``lip_at(q) <= q``, and otherwise keeps ``lip_at(hi) <= hi < 1``. When
+    ``lip_at`` does not increase with q, ``max(lip_at(q), q)`` is smallest
+    at the crossing, and ``hi`` lies within 2**-53 above it.
     """
-    q = f.sup_weight()
-    return None if q is None else SupCertificate(q, f.lip_sup(q))
+    lo, hi = 0.0, 1.0
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if lip_at(mid) <= mid:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def find_sup_certificate(f: SeqMap) -> SupCertificate | None:
+    """The sup-distance certificate at the crossing weight q where ``f.lip_sup(q)`` falls to q.
+
+    Sound for any map, since the bisection keeps ``lip_sup(q) <= q < 1``;
+    the step factor ``max(lip, q)`` is then q, the least one a sup
+    certificate can have when ``lip_sup`` does not increase with q. None
+    when no weight below 1 qualifies, so the map is reported uncertified.
+    """
+    q = _crossing(f.lip_sup)
+    return SupCertificate(q, f.lip_sup(q)) if q < 1.0 else None
 
 
 _P_GRID_MAX = 2**20
@@ -197,17 +222,21 @@ def find_p_certificate(f: SeqMap, q0: float) -> PCertificate | None:
 def sup_certificate_from_p(cert: PCertificate) -> SupCertificate:
     """Convert a power-distance certificate into a sup-distance certificate.
 
-    Uses the comparison between the metric families: for q' with
-    (q')**p > q / (1 - lip**p) the sup-distance constant is at most
-    ``lip / (1 - q/(q')**p)**(1/p) < 1``. The midpoint of the admissible
-    range is chosen, so the conversion is sound for any map the original
-    certificate covers.
+    Uses the comparison between the metric families: at a weight s with
+    s**p > q the sup-distance constant is at most
+    ``lip / (1 - q/s**p)**(1/p)``, taken as ``inf`` elsewhere and where
+    ``1 - q/s**p`` rounds to 0. The certificate sits at the crossing of
+    that constant with s, so it is sound for any map the original
+    certificate covers. Raises ``ValueError`` when rounding puts the
+    crossing at 1.
     """
-    lp = cert.lip**cert.p
-    qp = 0.5 * (cert.q / (1.0 - lp) + 1.0)
-    q_new = qp ** (1.0 / cert.p)
-    lip_new = cert.lip / (1.0 - cert.q / qp) ** (1.0 / cert.p)
-    return SupCertificate(q_new, lip_new)
+
+    def lip_at(s: float) -> float:
+        room = 1.0 - cert.q / s**cert.p if s**cert.p > cert.q else 0.0
+        return cert.lip / room ** (1.0 / cert.p) if room > 0.0 else math.inf
+
+    s = _crossing(lip_at)
+    return SupCertificate(s, lip_at(s))
 
 
 def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:

@@ -187,6 +187,32 @@ def test_malformed_values_exit_1(tmp_path, capsys, entry):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+#: (misspelled key, config document); each would otherwise run on a default
+UNKNOWN_KEYS = [
+    # a zero map, solved to x_star=1 where the intended fixed point is 2
+    ("head_coef", {"problems": [problem("linear", "solve", map={"linear": {"head_coef": [0.5], "offset": 1.0}})]}),
+    # x_star=0 where the intended fixed point is 2
+    ("ofset", {"problems": [problem("presic", "solve",
+                                    map={"presic": {"rule": "affine", "coeffs": [0.5], "ofset": 1.0}})]}),
+    # a certify table without its p row
+    ("q_0", {"problems": [problem("certify", "certify", q_0=0.5)]}),
+    # a solve from the zero sequence
+    ("prefx", {"problems": [problem("start", "solve", initial={"prefx": [2.0], "tail": 0.0})]}),
+    ("problem", {"problems": [], "problem": []}),
+    ("scale", {"problems": [problem("half", "compare", map={"sup_half": {"scale": 0.5}}, k_max=3)]}),
+]
+
+
+@pytest.mark.parametrize("key, document", UNKNOWN_KEYS, ids=[key for key, _ in UNKNOWN_KEYS])
+def test_unknown_config_keys_exit_1(tmp_path, capsys, key, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert run(str(config), str(tmp_path / "out")) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown key {key!r} in ")
+
+
 @pytest.mark.parametrize("entry", [
     problem("string-coeffs", "solve", map={"linear": {"head_coeffs": "123"}}),
     problem("string-coeff", "solve", map={"linear": {"head_coeffs": ["0.5"]}}),
@@ -432,10 +458,15 @@ def mostly(valid, malformed=st.sampled_from(JUNK)):
     return st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: valid if ok else malformed)
 
 
+#: misspellings of documented keys, each of which the config parser must reject
+MISSPELLED = ["head_coef", "ofset", "q_0", "prefx", "tolerence", "kmax"]
+
+
 def optional_fields(**strategies):
-    """A dict of the given keys, missing one of them one draw in ten."""
-    return st.builds(lambda d, drop: {k: v for k, v in d.items() if k != drop},
-                     st.fixed_dictionaries(strategies), mostly(st.none(), st.sampled_from(sorted(strategies))))
+    """A dict of the given keys, missing one of them one draw in ten, with a misspelled key one in ten."""
+    return st.builds(lambda d, drop, extra: {**{k: v for k, v in d.items() if k != drop}, **extra},
+                     st.fixed_dictionaries(strategies), mostly(st.none(), st.sampled_from(sorted(strategies))),
+                     mostly(st.just({}), st.sampled_from([{key: 0.5} for key in MISSPELLED])))
 
 
 # A certifiable valid map has sum |b_n| <= 0.9: at most 7 head coefficients and a tail coefficient,

@@ -1,9 +1,9 @@
-"""The SeqMap protocol: lip_sup, lip_p and sup_weight, difference and witnesses.
+"""The SeqMap protocol: lip_sup and lip_p, difference and witnesses.
 
-The solver certifies any map through the first three methods, and the
-empirical lower bound tests a constant through the last two. The linear and
-embedded maps must certify exactly as the type-by-type search did before
-the protocol existed; a copy of that search is kept here as the reference.
+The solver certifies any map through the first two methods: a sup
+certificate sits at the crossing weight q where ``lip_sup(q)`` falls to q,
+and that q is the certificate's step factor. The empirical lower bound
+tests a constant through the last two.
 """
 
 import math
@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from seqfix import (
     BoundedSeq,
-    EmbeddedMap,
     FiniteArityMap,
     LinearSeqMap,
+    PCertificate,
     SeqMap,
-    SupCertificate,
     SupHalfMap,
     embed_finite,
     empirical_lip_lower_bound,
@@ -26,64 +25,11 @@ from seqfix import (
     find_sup_certificate,
     secelean_iterates,
     solve_fixed_point,
+    sup_certificate_from_p,
     truncate,
 )
 
 ZERO = BoundedSeq.constant(0.0)
-
-
-def ladder_sup_certificate(f):
-    """The certificate search as a ladder over the concrete map types."""
-    if isinstance(f, LinearSeqMap):
-        total = f.sum_abs_coeffs()
-        if total >= 1.0:
-            return None
-        if total == 0.0:
-            return SupCertificate(0.5, 0.0)
-        target = (1.0 + total) / 2.0
-        lo_edge = abs(f.tail_ratio) if f.tail_coeff != 0.0 else 0.0
-        lo, hi = lo_edge, 1.0
-        exceeded = False
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if f.lip_sup(mid) <= target:
-                hi = mid
-            else:
-                lo = mid
-                exceeded = True
-        if not exceeded:
-            q = 0.5 * (lo_edge + 1.0)
-        elif hi < 1.0:
-            q = hi
-        else:
-            return None
-        return SupCertificate(q, f.lip_sup(q))
-    if isinstance(f, EmbeddedMap):
-        hint = f.finite_map.lipschitz_hint
-        if hint is None or hint >= 1.0:
-            return None
-        m = f.finite_map.arity
-        if m == 1:
-            return SupCertificate(0.5, hint)
-        q = ((1.0 + hint) / 2.0) ** (1.0 / (m - 1))
-        # newer than the ladder: a q or lip that rounds to 1 is no certificate, not a ValueError
-        if not (q < 1.0 and hint / q ** (m - 1) < 1.0):
-            return None
-        return SupCertificate(q, hint / q ** (m - 1))
-    return None
-
-
-def outcome(fn, *args):
-    """The call's result, or the name of the exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as e:  # noqa: BLE001 - the exception type is the outcome
-        return type(e).__name__
-
-
-def same_bits(a, b):
-    return repr(a) == repr(b)
-
 
 coeff = st.one_of(
     st.just(0.0),
@@ -110,27 +56,48 @@ embedded_maps = st.builds(
 )
 
 
+#: the largest float below 1, the last weight the crossing bisection tests
+EDGE = 1.0 - 2.0**-53
+#: 2,000 weights spread evenly over (0, 1]
+GRID = [i / 2000 for i in range(1, 2001)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(linear_maps, embedded_maps))
-def test_certificate_search_matches_the_type_ladder_bit_for_bit(f):
-    got = outcome(find_sup_certificate, f)
-    want = outcome(ladder_sup_certificate, f)
-    assert same_bits(got, want)
+def test_certificate_sits_at_the_crossing(f):
+    cert = find_sup_certificate(f)
+    if f.lip_sup(EDGE) > EDGE:
+        assert cert is None
+        return
+    assert cert is not None
+    assert cert.lip == f.lip_sup(cert.q) <= cert.q < 1.0
+    # no weight on the grid gives a smaller step factor, up to the bisection's resolution
+    assert cert.step_factor() <= min(max(f.lip_sup(g), g) for g in GRID) + 2.0**-52
 
 
-def test_ladder_cases_that_reach_every_branch():
-    maps = [
-        LinearSeqMap(),  # total 0
-        LinearSeqMap((0.5, 0.6)),  # total >= 1
-        LinearSeqMap((0.0,), 0.3, 0.5),  # bisection
-        LinearSeqMap((0.999999,)),  # bisection, q near 1
-        embed_finite(FiniteArityMap(1, lambda a: a / 3, 1 / 3)),  # arity 1
-        embed_finite(FiniteArityMap(3, lambda a, b, c: a, 0.5)),
-        embed_finite(FiniteArityMap(3, lambda a, b, c: a)),  # no hint
-        SupHalfMap(),
-    ]
-    for f in maps:
-        assert same_bits(find_sup_certificate(f), ladder_sup_certificate(f))
+def test_crossing_plans_fewer_steps():
+    slow = LinearSeqMap((0.49, 0.49), offset=1.0)
+    sol = solve_fixed_point(slow, ZERO, find_sup_certificate(slow), 1e-9)
+    assert sol.k_used == 1862  # step factor 0.98664, the spectral radius of v = 0.49 v' + 0.49 v'' + 1
+    assert abs(sol.value - 50.0) <= 1e-9
+    readme = LinearSeqMap((1 / 3,), 1 / 6, 0.5, 1.0)
+    sol = solve_fixed_point(readme, ZERO, find_sup_certificate(readme), 1e-6)
+    assert sol.k_used == 86
+    assert abs(sol.value - 3.0) <= 1e-6
+
+
+def test_sup_certificate_from_p_sits_at_the_crossing():
+    pc = find_p_certificate(LinearSeqMap((0.0, 0.3)), 0.5)
+    back = sup_certificate_from_p(pc)
+
+    def comparison(s):
+        return pc.lip / (1.0 - pc.q / s**pc.p) ** (1.0 / pc.p) if s**pc.p > pc.q else math.inf
+
+    assert back.lip <= back.q < 1.0
+    assert back.step_factor() <= min(max(comparison(s), s) for s in GRID) + 2.0**-52
+    # lip just below (1 - q)**(1/p): the crossing rounds to 1
+    with pytest.raises(ValueError, match=r"^certificate q must lie in \(0, 1\), got 1.0$"):
+        sup_certificate_from_p(PCertificate(2.0, 0.5, 0.7071067811865475))
 
 
 @given(
@@ -159,7 +126,6 @@ def test_sup_half_lip_sup():
     f = SupHalfMap()
     assert f.lip_sup(1.0) == 0.5
     assert f.lip_sup(0.999) == math.inf
-    assert f.sup_weight() is None
     assert find_sup_certificate(f) is None
 
 
@@ -174,27 +140,23 @@ class PlainSupMap(SeqMap):
         return 0.25 + 0.25 / q
 
 
-class WeightedMap(PlainSupMap):
-    """The same map, also offering a weight to certify at."""
-
-    def sup_weight(self):
-        return 0.9
-
-
 def test_minimal_map_gets_truncation_hint_and_secelean_default():
     f = PlainSupMap()
     assert truncate(f, 3, 0.0).lipschitz_hint == 0.5
     rows = secelean_iterates(f, ZERO, 60)  # no lip passed: lip_sup(1.0) = 0.5
     assert rows[1].bound == 0.5**2 / 0.5 * 1.0
     assert abs(rows[-1].value - 2.0) <= rows[-1].bound
-    assert find_sup_certificate(f) is None
+    assert find_sup_certificate(f) is not None
     assert find_p_certificate(f, 0.5) is None
 
 
-def test_sup_weight_unlocks_certificate_and_solve():
-    f = WeightedMap()
+def test_lip_sup_alone_unlocks_certificate_and_solve():
+    f = PlainSupMap()
     cert = find_sup_certificate(f)
-    assert cert == SupCertificate(0.9, f.lip_sup(0.9))
+    # the crossing 1/4 + 1/(4q) = q
+    assert cert.q == pytest.approx((0.25 + math.sqrt(1.0625)) / 2.0, abs=1e-15)
+    assert round(cert.q, 4) == 0.6404
+    assert cert.lip == f.lip_sup(cert.q) <= cert.q
     sol = solve_fixed_point(f, ZERO, cert, 1e-9)
     assert abs(sol.value - 2.0) <= 1e-9
 
@@ -206,7 +168,6 @@ def test_opaque_map_has_no_constants():
 
     f = Opaque()
     assert f.lip_sup(0.5) == f.lip_p(2.0, 0.5) == math.inf
-    assert f.sup_weight() is None
     assert truncate(f, 2, 0.0).lipschitz_hint is None
 
 
@@ -244,11 +205,7 @@ def test_witnesses_default_to_none_and_feed_the_empirical_bound():
 def test_sup_weight_of_hints_that_round_to_one_never_raises(hint):
     for m in range(2, 200):
         f = embed_finite(FiniteArityMap(m, lambda *a: a[0], hint))
-        q = f.sup_weight()
         cert = find_sup_certificate(f)
-        if q is None:
-            assert cert is None
-        else:
-            assert q < 1.0 and f.lip_sup(q) < 1.0
-            assert cert == SupCertificate(q, f.lip_sup(q))
-    assert embed_finite(FiniteArityMap(3, lambda *a: a[0], 1.0 - 2.0**-53)).sup_weight() is None
+        if cert is not None:
+            assert cert.lip == f.lip_sup(cert.q) <= cert.q < 1.0
+    assert find_sup_certificate(embed_finite(FiniteArityMap(3, lambda *a: a[0], 1.0 - 2.0**-53))) is None

@@ -175,16 +175,17 @@ def test_find_sup_certificate_geometric_needs_large_q():
 
 def test_find_sup_certificate_constant_map():
     cert = find_sup_certificate(LinearSeqMap(offset=7.0))
-    assert cert == SupCertificate(0.5, 0.0)
+    assert cert == SupCertificate(2.0**-53, 0.0)  # lip_sup is 0 at every weight: the least weight bisected to
 
 
 def test_find_sup_certificate_embeddings():
     g = embed_finite(FiniteArityMap(2, lambda a, b: (a + b) / 4 + 1, 0.5))
     cert = find_sup_certificate(g)
-    assert cert.q == pytest.approx(0.75, abs=1e-15)
-    assert cert.lip == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert cert.q == pytest.approx(math.sqrt(0.5), abs=1e-15)  # the crossing 0.5 / q = q
+    assert cert.lip == pytest.approx(math.sqrt(0.5), abs=1e-15)
     one = embed_finite(FiniteArityMap(1, lambda a: a / 3, 1.0 / 3.0))
-    assert find_sup_certificate(one) == SupCertificate(0.5, 1.0 / 3.0)
+    cert = find_sup_certificate(one)  # lip_sup is the hint at every weight, so it crosses at 1/3
+    assert cert.lip == 1.0 / 3.0 <= cert.q <= 1.0 / 3.0 + 2.0**-53
     assert find_sup_certificate(embed_finite(FiniteArityMap(2, lambda a, b: a + b))) is None
     assert find_sup_certificate(embed_finite(FiniteArityMap(1, lambda a: 2 * a, 2.0))) is None
 
