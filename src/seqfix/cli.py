@@ -3,9 +3,10 @@
 Reads a JSON list of problems, runs each one (certify / solve / trace /
 secelean / truncate / compare), writes one CSV table per problem plus a
 config echo into the output directory, and prints one summary line per
-problem. Exit status: 0 on success, 1 on a config error, 2 when a problem
-that needs certification turns out uncertifiable, 3 when a certified bound
-is violated during a run.
+problem. Exit status: 0 on success, 1 on a config error or an unusable
+output directory, 2 when a problem that needs certification turns out
+uncertifiable, 3 when a certified bound is violated during a run or a
+problem fails with any other exception (a defect, reported as ``bug``).
 """
 
 from __future__ import annotations
@@ -367,6 +368,10 @@ def run(config_path: str, out_dir: str, seed: int = 0) -> int:
                 summary, status = f"{p.id} {p.mode} FAILED bound-violation: {e}", EXIT_BOUND_VIOLATION
             except (UncertifiedMapError, ValueError) as e:
                 summary, status = f"{p.id} {p.mode} FAILED {e}", EXIT_UNCERTIFIED
+            except OSError:  # a table that cannot be written: the handler below exits 1
+                raise
+            except Exception as e:  # a defect in seqfix: report it and go on with the next problem
+                summary, status = f"{p.id} {p.mode} FAILED bug: {type(e).__name__}: {e}", EXIT_BOUND_VIOLATION
             print(summary)
             worst = max(worst, status)
     except OSError as e:

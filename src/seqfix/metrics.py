@@ -101,46 +101,36 @@ def dist_max(u: Sequence[float], v: Sequence[float]) -> float:
     return max(base_dist(a, b) for a, b in zip(u, v))
 
 
-def dist_sup_weighted(x: BoundedSeq, y: BoundedSeq, w: WeightSeq) -> float:
-    """Weighted sup distance sup_n a_n |x_n - y_n|, exactly.
+def _sup(x: BoundedSeq, y: BoundedSeq, weights: list[float]) -> float:
+    """sup_n weights[n] |x_n - y_n|, where the last weight is that of the constant tail.
 
-    Explicit max over every index where either the sequences or the weight
-    head vary; beyond that the coordinate distance is constant and the
-    weights are nonincreasing, so the tail contributes its first weight.
     The entries of a ``BoundedSeq`` are finite floats already, so they are
     read without validating them again. A tail difference that overflows
     makes the distance ``inf``, never ``nan``, also where its weight
     underflowed to 0.0.
     """
-    if not validate_sup_weights(w):
-        raise ValueError("weights do not define a sup-type metric (need positive head, ratio in (0, 1])")
-    m = max(len(x.prefix), len(y.prefix), len(w.head))
-    best = w.at(m) * abs(x.tail - y.tail)
+    m = len(weights) - 1
+    best = weights[m] * abs(x.tail - y.tail)
     if math.isnan(best):  # 0.0 * inf
         return math.inf
-    for n, (a, b) in enumerate(zip(x.head(m), y.head(m))):
-        v = w.at(n) * abs(a - b)
+    for a_n, a, b in zip(weights, x.head(m), y.head(m)):
+        v = a_n * abs(a - b)
         if v > best:
             best = v
     return best
 
 
-def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> float:
-    """Weighted power distance (sum_n a_n |x_n - y_n|^p)^(1/p), exactly.
+def _power(x: BoundedSeq, y: BoundedSeq, p: float, weights: list[float], ratio: float) -> float:
+    """(sum_n weights[n] |x_n - y_n|^p)^(1/p), the last weight continued by ``ratio`` over the tail.
 
-    Finite sum over the joint prefix plus the closed-form geometric tail
-    sum. The largest rescaled term is factored out before exponentiation so
-    the evaluation stays stable for very large ``p``. A coordinate difference
+    The largest rescaled term is factored out before exponentiation so the
+    evaluation stays stable for very large ``p``. A coordinate difference
     that overflows makes the distance ``inf``, never ``nan``.
     """
-    p = ensure_exponent(p, "exponent")
-    if not validate_p_weights(w):
-        raise ValueError("weights do not define a p-type metric (need positive head, ratio in (0, 1))")
-    m = max(len(x.prefix), len(y.prefix), len(w.head))
+    m = len(weights) - 1
     inv_p = 1.0 / p
-    d_tail = abs(x.tail - y.tail)
-    scaled = [w.at(n) ** inv_p * abs(a - b) for n, (a, b) in enumerate(zip(x.head(m), y.head(m)))]
-    tail_anchor = w.at(m) ** inv_p * d_tail
+    scaled = [a_n ** inv_p * abs(a - b) for a_n, a, b in zip(weights, x.head(m), y.head(m))]
+    tail_anchor = weights[m] ** inv_p * abs(x.tail - y.tail)
     # the tail anchor goes first: it is 0.0 * inf = nan when an overflowed tail
     # difference meets an underflowed weight, and max returns a leading nan
     top = max([tail_anchor] + scaled)
@@ -149,16 +139,48 @@ def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> flo
     if not top < math.inf:
         return math.inf
     total = sum((v / top) ** p for v in scaled if v > 0.0)
-    if d_tail > 0.0:
-        total += (tail_anchor / top) ** p / (1.0 - w.ratio)
+    if tail_anchor > 0.0:  # a zero anchor would add 0.0
+        total += (tail_anchor / top) ** p / (1.0 - ratio)
     return top * total ** (1.0 / p)
 
 
+def dist_sup_weighted(x: BoundedSeq, y: BoundedSeq, w: WeightSeq) -> float:
+    """Weighted sup distance sup_n a_n |x_n - y_n|, exactly.
+
+    Explicit max over every index where either the sequences or the weight
+    head vary; beyond that the coordinate distance is constant and the
+    weights are nonincreasing, so the tail contributes its first weight.
+    """
+    if not validate_sup_weights(w):
+        raise ValueError("weights do not define a sup-type metric (need positive head, ratio in (0, 1])")
+    return _sup(x, y, [w.at(n) for n in range(max(len(x.prefix), len(y.prefix), len(w.head)) + 1)])
+
+
+def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> float:
+    """Weighted power distance (sum_n a_n |x_n - y_n|^p)^(1/p), exactly.
+
+    Finite sum over the joint prefix plus the closed-form geometric tail sum.
+    """
+    p = ensure_exponent(p, "exponent")
+    if not validate_p_weights(w):
+        raise ValueError("weights do not define a p-type metric (need positive head, ratio in (0, 1))")
+    return _power(x, y, p, [w.at(n) for n in range(max(len(x.prefix), len(y.prefix), len(w.head)) + 1)], w.ratio)
+
+
 def dist_sup_geom(x: BoundedSeq, y: BoundedSeq, q: float) -> float:
-    """Sup distance with geometric weights q**n; q=1 gives the plain sup distance."""
-    return dist_sup_weighted(x, y, WeightSeq.geometric(ensure_weight(q, closed=True)))
+    """Sup distance with geometric weights q**n; q=1 gives the plain sup distance.
+
+    Equal bit for bit to :func:`dist_sup_weighted` with ``WeightSeq.geometric(q)``.
+    """
+    q = ensure_weight(q, closed=True)
+    return _sup(x, y, [q**n for n in range(max(len(x.prefix), len(y.prefix)) + 1)])
 
 
 def dist_p_geom(x: BoundedSeq, y: BoundedSeq, p: float, q: float) -> float:
-    """Power distance with geometric weights q**n, q strictly below 1."""
-    return dist_p_weighted(x, y, p, WeightSeq.geometric(ensure_weight(q)))
+    """Power distance with geometric weights q**n, q strictly below 1.
+
+    Equal bit for bit to :func:`dist_p_weighted` with ``WeightSeq.geometric(q)``;
+    q is checked before p.
+    """
+    q, p = ensure_weight(q), ensure_exponent(p, "exponent")
+    return _power(x, y, p, [q**n for n in range(max(len(x.prefix), len(y.prefix)) + 1)], q)

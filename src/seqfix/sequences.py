@@ -37,7 +37,9 @@ class BoundedSeq:
     tail: float = 0.0
 
     def __post_init__(self) -> None:
-        entries = tuple(ensure_finite(v, "sequence entry") for v in self.prefix)
+        entries = tuple(map(float, self.prefix))
+        if not all(map(math.isfinite, entries)):  # check again, entry by entry, to name the first bad one
+            entries = tuple(ensure_finite(v, "sequence entry") for v in entries)
         tail = ensure_finite(self.tail, "tail")
         n = len(entries)
         while n > 0 and entries[n - 1] == tail:

@@ -322,6 +322,46 @@ def test_bound_violation_exits_3(tmp_path, capsys, monkeypatch):
     assert "FAILED bound-violation" in capsys.readouterr().out
 
 
+def synthetic_defect(*args, **kwargs):
+    raise ZeroDivisionError("synthetic")
+
+
+def test_any_other_exception_is_a_bug_that_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("seqfix.cli.secelean_iterates", synthetic_defect)
+    config = write_config(tmp_path, [problem("a", "secelean", k_max=3), problem("b", "certify")])
+    assert run(config, str(tmp_path / "out")) == EXIT_BOUND_VIOLATION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "a secelean FAILED bug: ZeroDivisionError: synthetic"
+    assert lines[1].startswith("b certify OK")  # the problems after it still run
+
+
+def test_a_bug_exits_3_without_traceback(tmp_path):
+    config = write_config(tmp_path, [problem("a", "solve")])
+    script = ("import sys, seqfix.cli\n"
+              "def defect(*args, **kwargs):\n"
+              "    raise ZeroDivisionError('synthetic')\n"
+              "seqfix.cli.solve_fixed_point = defect\n"
+              "seqfix.cli.main(sys.argv[1:])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_BOUND_VIOLATION, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == "a solve FAILED bug: ZeroDivisionError: synthetic\n"
+
+
+def test_keyboard_interrupt_is_not_caught(tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("seqfix.cli.find_sup_certificate", interrupt)
+    config = write_config(tmp_path, [problem("a", "certify")])
+    with pytest.raises(KeyboardInterrupt):
+        run(config, str(tmp_path / "out"))
+
+
 def test_empty_problem_list(tmp_path, capsys):
     config = write_config(tmp_path, [])
     out = tmp_path / "out"
@@ -510,6 +550,8 @@ def test_cli_fuzzed_configs_exit_0_to_3_without_raising(problems):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(json.dumps({"problems": problems}))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             status = run(str(config), str(Path(tmp) / "out"))
     assert status in (EXIT_OK, EXIT_CONFIG, EXIT_UNCERTIFIED, EXIT_BOUND_VIOLATION)
+    assert "FAILED bug:" not in stdout.getvalue()  # run() reports a defect instead of raising it

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqfix import (
@@ -18,6 +18,7 @@ from seqfix import (
     find_sup_certificate,
     truncate,
 )
+from seqfix.maps import _random_seq
 
 # the recurring worked example: b_n = 1/(3 * 2^n), offset 1
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
@@ -411,6 +412,60 @@ def test_map_gap_is_bit_exact():
             b = BoundedSeq(b.prefix, rng.choice((0.0, -0.0)))
         assert f.difference(a, b).hex() == map_gap_loop(f, a, b).hex()
         assert f.difference(b, a).hex() == map_gap_loop(f, b, a).hex()
+    # indices deep in the coefficient tail, down to where tail_ratio**(n - N) underflows
+    for _ in range(100):
+        f = random_linear(rng, ratio_span=0.99)
+        depth = rng.choice((10, 100, 1100))
+        a = BoundedSeq(tuple(rng.uniform(-2.0, 2.0) for _ in range(depth)), rng.uniform(-2.0, 2.0))
+        b = random_seq(rng)
+        assert f.difference(a, b).hex() == map_gap_loop(f, a, b).hex()
+        assert f.difference(b, a).hex() == map_gap_loop(f, b, a).hex()
+
+
+def random_seq_through_uniform(rng, lo, hi):
+    """_random_seq as it was written, with rng.uniform."""
+    k = rng.randrange(0, 9)
+    return BoundedSeq(tuple(rng.uniform(lo, hi) for _ in range(k)), rng.uniform(lo, hi))
+
+
+def drawn(rng, lo, hi, draw):
+    """The drawn sequence's bits, or the exception's message, and the generator's state after it."""
+    try:
+        seq = draw(rng, lo, hi)
+        got = [v.hex() for v in seq.values()]
+    except ValueError as e:
+        got = str(e)
+    return got, rng.getstate()
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=2**64), st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=0, max_value=3))
+@example(0, -1.0, 1.0, 0)
+@example(5, 0.0, 1.0, 2)
+@example(1, -1e308, 1e308, 0)  # hi - lo overflows: both raise after the same draws
+def test_random_seq_draws_as_uniform_does(seed, lo, hi, repeats):
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(repeats + 1):
+        assert drawn(ours, lo, hi, _random_seq) == drawn(reference, lo, hi, random_seq_through_uniform)
+
+
+SIGNED = LinearSeqMap((0.25, -0.125, 0.0, 0.0625), -0.05, -0.4, 2.0)
+PRESIC = embed_finite(FiniteArityMap(2, lambda a, b: 0.49 * a + 0.49 * b + 1.0, 0.98))
+
+
+@pytest.mark.parametrize("f, q, p, seed, expected", [
+    (RECUR, 0.75, None, 0, "0.9999999999964188"),
+    (RECUR, 0.5, 1.0, 7, "0.3333333333333334"),
+    (SIGNED, 0.8, 2.0, 3, "0.31191351215120516"),
+    (SIGNED, 0.9, 64.0, 11, "0.5105522710749215"),
+    (SPARSE, 0.1, 3.5, 2, "0.5"),
+    (SupHalfMap(), 1.0, None, 5, "0.5"),
+    (PRESIC, 0.99, None, 1, "0.9800000000000005"),
+])
+def test_empirical_bound_is_pinned(f, q, p, seed, expected):
+    # the values of an earlier, slower evaluation of the same draws and distances
+    assert repr(empirical_lip_lower_bound(f, q, p, trials=200, seed=seed)) == expected
 
 
 def lip_p_before_underflow_guard(f, p, q):

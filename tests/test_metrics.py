@@ -17,6 +17,7 @@ from seqfix import (
     validate_p_weights,
     validate_sup_weights,
 )
+from seqfix.metrics import ensure_weight
 
 # Quantized coordinates keep all products comfortably above underflow so the
 # metric identities can be asserted without tolerance games.
@@ -331,3 +332,59 @@ def test_sup_distance_is_inf_not_nan_when_an_overflowing_tail_meets_an_underflow
 def test_power_distance_rejects_bad_exponents(p, message):
     with pytest.raises(ValueError, match=message):
         dist_p_geom(BoundedSeq.constant(0.0), BoundedSeq.constant(1.0), p, 0.5)
+
+
+def outcome(fn, *args):
+    """The value's bits, or the exception's type and message."""
+    try:
+        return fn(*args).hex()
+    except (ValueError, TypeError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def sup_geom_through_weights(x, y, q):
+    """dist_sup_geom as it was defined: the weighted sup distance over WeightSeq.geometric(q)."""
+    return dist_sup_weighted(x, y, WeightSeq.geometric(ensure_weight(q, closed=True)))
+
+
+def p_geom_through_weights(x, y, p, q):
+    """dist_p_geom as it was defined: the weighted power distance over WeightSeq.geometric(q)."""
+    return dist_p_weighted(x, y, p, WeightSeq.geometric(ensure_weight(q)))
+
+
+# q = 1e-200 underflows q**2; subnormal and bad values reach every check
+geometric_qs = st.one_of(st.floats(min_value=5e-324, max_value=1.0),
+                         st.sampled_from([1e-200, 0.5, 0.0, -0.5, 1.5, math.nan, math.inf]))
+exponents = st.one_of(ps, st.sampled_from([1.0, 64.0, 1e6, 0.5, -1.0, math.nan, math.inf]))
+DEEP = BoundedSeq((0.0,) * 1100, 1e308)  # its tail's weight 0.5**1100 underflows where the difference overflows
+
+
+@settings(max_examples=400)
+@given(wide_seqs, wide_seqs, geometric_qs)
+@example(DEEP, BoundedSeq.constant(-1e308), 0.5)
+@example(BoundedSeq((1.0, 2.0, 3.0), 1e308), BoundedSeq.constant(-1e308), 1e-200)
+def test_dist_sup_geom_equals_the_weighted_distance_bit_for_bit(x, y, q):
+    assert outcome(dist_sup_geom, x, y, q) == outcome(sup_geom_through_weights, x, y, q)
+
+
+@settings(max_examples=400)
+@given(wide_seqs, wide_seqs, exponents, geometric_qs)
+@example(DEEP, BoundedSeq.constant(-1e308), 2.0, 0.5)
+@example(BoundedSeq((1.0, 2.0, 3.0), 1e308), BoundedSeq.constant(-1e308), 3.5, 1e-200)
+@example(BoundedSeq((1.0, 2.0, 3.0), 1.0), BoundedSeq.constant(-1.0), 2.0, 1e-200)
+def test_dist_p_geom_equals_the_weighted_distance_bit_for_bit(x, y, p, q):
+    assert outcome(dist_p_geom, x, y, p, q) == outcome(p_geom_through_weights, x, y, p, q)
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (2.0, 1.0, r"^q must lie in \(0, 1\), got 1\.0$"),
+    (0.5, 0.5, r"^exponent must be >= 1, got 0\.5$"),
+    (0.5, 1.0, r"^q must lie in \(0, 1\), got 1\.0$"),  # q is checked before p
+    (math.nan, math.nan, "^q must be finite"),
+])
+def test_power_distance_checks_q_before_p(p, q, message):
+    x, y = BoundedSeq.constant(0.0), BoundedSeq.constant(1.0)
+    with pytest.raises(ValueError, match=message):
+        dist_p_geom(x, y, p, q)
+    with pytest.raises(ValueError, match=message):
+        p_geom_through_weights(x, y, p, q)
