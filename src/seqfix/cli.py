@@ -24,6 +24,7 @@ from .sequences import BoundedSeq, ensure_finite
 from .solver import (
     BoundViolationError,
     IterationTrace,
+    SupCertificate,
     UncertifiedMapError,
     find_p_certificate,
     find_sup_certificate,
@@ -33,7 +34,6 @@ from .solver import (
     truncation_study,
 )
 
-_MODES = ("certify", "solve", "trace", "secelean", "truncate", "compare")
 _PROBLEM_KEYS = ("id", "map", "initial", "tolerance", "mode", "k_max", "n_max", "base", "q0")
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -96,17 +96,15 @@ class ProblemConfig:
         n_max = _integer(raw.get("n_max"), "n_max", pid)
         base = None if raw.get("base") is None else _number(raw["base"], "base", pid)
         q0 = None if raw.get("q0") is None else _number(raw["q0"], "q0", pid)
-        if mode in ("trace", "secelean", "compare"):
-            if k_max is None or k_max < 1:
-                raise ConfigError(f"mode {mode!r} needs a positive k_max for problem {pid!r}")
-        if mode == "truncate":
-            if n_max is None or n_max < 1:
-                raise ConfigError(f"mode 'truncate' needs a positive n_max for problem {pid!r}")
-            if base is None:
-                raise ConfigError(f"mode 'truncate' needs a base point for problem {pid!r}")
+        config = cls(pid, map_spec, prefix, tail, tolerance, mode, k_max=k_max, n_max=n_max, base=base, q0=q0)
+        for field in _MODES[mode][1]:  # a count must be positive, the base point any number
+            value = getattr(config, field)
+            if value is None or field != "base" and value < 1:
+                need = "a base point" if field == "base" else f"a positive {field}"
+                raise ConfigError(f"mode {mode!r} needs {need} for problem {pid!r}")
         if q0 is not None and not 0.0 < q0 < 1.0:
             raise ConfigError(f"q0 must lie in (0, 1) for problem {pid!r}")
-        return cls(pid, map_spec, prefix, tail, tolerance, mode, k_max=k_max, n_max=n_max, base=base, q0=q0)
+        return config
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -260,86 +258,97 @@ def config_to_dict(problems: list[ProblemConfig]) -> dict:
     return {"problems": [p.to_dict() for p in problems]}
 
 
+_TRACE_HEADER = "k,x_k,bound,residual"
+
+
+def _trace_rows(trace: IterationTrace) -> list[str]:
+    return [f"{s.k},{_fmt(s.value)},{_fmt(s.bound)},{_fmt(s.residual)}" for s in trace.steps]
+
+
 def emit_trace(trace: IterationTrace, path: Path | str) -> None:
     """Write an iteration trace as CSV: header k,x_k,bound,residual.
 
     Floats carry 17 significant digits so a reparse reproduces them exactly;
     the bound field is empty for uncertified traces.
     """
-    lines = ["k,x_k,bound,residual"]
-    for s in trace.steps:
-        lines.append(f"{s.k},{_fmt(s.value)},{_fmt(s.bound)},{_fmt(s.residual)}")
-    _write_lines(path, lines)
+    _write_lines(path, [_TRACE_HEADER] + _trace_rows(trace))
 
 
 def _write_lines(path: Path | str, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _run_problem(p: ProblemConfig, out_dir: Path, seed: int) -> tuple[str, int]:
-    f = p.build_map()
-    table = out_dir / f"{p.id}.csv"
+def _certified(f: SeqMap) -> SupCertificate:
+    """The sup certificate of ``f``; without one, :class:`UncertifiedMapError`.
 
-    if p.mode == "certify":
-        cert = find_sup_certificate(f)
-        lines = ["family,q,p,lip,empirical_lower_bound"]
-        if cert is None:
-            _write_lines(table, lines)
-            return f"{p.id} certify UNCERTIFIED", EXIT_OK
-        emp = empirical_lip_lower_bound(f, cert.q, trials=200, seed=seed)
-        lines.append(f"sup,{_fmt(cert.q)},,{_fmt(cert.lip)},{_fmt(emp)}")
-        if p.q0 is not None:
-            pc = find_p_certificate(f, p.q0)
-            if pc is not None:
-                emp_p = empirical_lip_lower_bound(f, pc.q, p=pc.p, trials=200, seed=seed)
-                lines.append(f"p,{_fmt(pc.q)},{_fmt(pc.p)},{_fmt(pc.lip)},{_fmt(emp_p)}")
-        _write_lines(table, lines)
-        return f"{p.id} certify OK q={cert.q:.12g} lip={cert.lip:.12g}", EXIT_OK
+    ``run`` reports that as ``FAILED uncertified`` with exit 2.
+    """
+    cert = find_sup_certificate(f)
+    if cert is None:
+        raise UncertifiedMapError("uncertified")
+    return cert
 
-    if p.mode == "solve":
-        cert = find_sup_certificate(f)
-        if cert is None:
-            return f"{p.id} solve FAILED uncertified", EXIT_UNCERTIFIED
-        sol = solve_fixed_point(f, p.initial_seq(), cert, p.tolerance)
-        emit_trace(sol.trace, table)
-        return f"{p.id} solve x_star={sol.value:.12g} k_used={sol.k_used}", EXIT_OK
 
-    if p.mode == "trace":
-        cert = find_sup_certificate(f)
-        trace = generalized_iterates(f, p.initial_seq(), p.k_max, cert)
-        emit_trace(trace, table)
-        return f"{p.id} trace x_final={trace.steps[-1].value:.12g} k_used={p.k_max}", EXIT_OK
+def _certify(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
+    cert = find_sup_certificate(f)
+    if cert is None:
+        return "UNCERTIFIED", []
+    emp = empirical_lip_lower_bound(f, cert.q, seed=seed)
+    rows = [f"sup,{_fmt(cert.q)},,{_fmt(cert.lip)},{_fmt(emp)}"]
+    pc = None if p.q0 is None else find_p_certificate(f, p.q0)
+    if pc is not None:
+        emp_p = empirical_lip_lower_bound(f, pc.q, p=pc.p, seed=seed)
+        rows.append(f"p,{_fmt(pc.q)},{_fmt(pc.p)},{_fmt(pc.lip)},{_fmt(emp_p)}")
+    return f"OK q={cert.q:.12g} lip={cert.lip:.12g}", rows
 
-    if p.mode == "secelean":
-        rows = secelean_iterates(f, p.initial_seq(), p.k_max)
-        lines = ["k,y_k,bound"]
-        lines += [f"{r.k},{_fmt(r.value)},{_fmt(r.bound)}" for r in rows]
-        _write_lines(table, lines)
-        return f"{p.id} secelean y_final={rows[-1].value:.12g} k_used={p.k_max}", EXIT_OK
 
-    if p.mode == "truncate":
-        cert = find_sup_certificate(f)
-        if cert is None:
-            return f"{p.id} truncate FAILED uncertified", EXIT_UNCERTIFIED
-        report = truncation_study(f, cert, p.base, p.n_max, p.tolerance)
-        lines = ["n,x_n,error,bound"]
-        lines += [f"{r.n},{_fmt(r.value)},{_fmt(r.error)},{_fmt(r.bound)}" for r in report.rows]
-        _write_lines(table, lines)
-        last = report.rows[-1]
-        return f"{p.id} truncate x_star={report.reference:.12g} n_max={last.n} error={last.error:.12g}", EXIT_OK
+def _solve(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
+    sol = solve_fixed_point(f, p.initial_seq(), _certified(f), p.tolerance)
+    return f"x_star={sol.value:.12g} k_used={sol.k_used}", _trace_rows(sol.trace)
 
-    # compare: generalized iterates side by side with diagonal-map iterates
+
+def _trace(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
+    trace = generalized_iterates(f, p.initial_seq(), p.k_max, find_sup_certificate(f))
+    return f"x_final={trace.steps[-1].value:.12g} k_used={p.k_max}", _trace_rows(trace)
+
+
+def _secelean(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
+    rows = secelean_iterates(f, p.initial_seq(), p.k_max)
+    return f"y_final={rows[-1].value:.12g} k_used={p.k_max}", [f"{r.k},{_fmt(r.value)},{_fmt(r.bound)}" for r in rows]
+
+
+def _truncate(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
+    report = truncation_study(f, _certified(f), p.base, p.n_max, p.tolerance)
+    last = report.rows[-1]
+    return (f"x_star={report.reference:.12g} n_max={last.n} error={last.error:.12g}",
+            [f"{r.n},{_fmt(r.value)},{_fmt(r.error)},{_fmt(r.bound)}" for r in report.rows])
+
+
+def _compare(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
+    """Generalized iterates side by side with diagonal-map iterates."""
     gen = generalized_iterates(f, p.initial_seq(), p.k_max)
     sec = secelean_iterates(f, p.initial_seq(), p.k_max)
-    lines = ["k,x_k,y_k"]
-    lines.append(f"0,,{_fmt(sec[0].value)}")
-    for step in gen.steps:
-        lines.append(f"{step.k},{_fmt(step.value)},{_fmt(sec[step.k].value)}")
-    _write_lines(table, lines)
-    return (
-        f"{p.id} compare x_final={gen.steps[-1].value:.12g} y_final={sec[-1].value:.12g}",
-        EXIT_OK,
-    )
+    rows = [f"0,,{_fmt(sec[0].value)}"] + [f"{s.k},{_fmt(s.value)},{_fmt(sec[s.k].value)}" for s in gen.steps]
+    return f"x_final={gen.steps[-1].value:.12g} y_final={sec[-1].value:.12g}", rows
+
+
+#: mode -> (its CSV header, the fields it requires, its runner (problem, map, seed) -> (summary, CSV rows))
+_MODES = {
+    "certify": ("family,q,p,lip,empirical_lower_bound", (), _certify),
+    "solve": (_TRACE_HEADER, (), _solve),
+    "trace": (_TRACE_HEADER, ("k_max",), _trace),
+    "secelean": ("k,y_k,bound", ("k_max",), _secelean),
+    "truncate": ("n,x_n,error,bound", ("n_max", "base"), _truncate),
+    "compare": ("k,x_k,y_k", ("k_max",), _compare),
+}
+
+
+def _run_problem(p: ProblemConfig, out_dir: Path, seed: int) -> str:
+    """Run one problem, write its table and return its summary line; a failure raises and writes no table."""
+    header, _, runner = _MODES[p.mode]
+    summary, rows = runner(p, p.build_map(), seed)
+    _write_lines(out_dir / f"{p.id}.csv", [header] + rows)
+    return f"{p.id} {p.mode} {summary}"
 
 
 def run(config_path: str, out_dir: str, seed: int = 0) -> int:
@@ -363,7 +372,7 @@ def run(config_path: str, out_dir: str, seed: int = 0) -> int:
                          [json.dumps(config_to_dict(problems), indent=2, sort_keys=True)])
         for p in problems:
             try:
-                summary, status = _run_problem(p, out, seed)
+                summary, status = _run_problem(p, out, seed), EXIT_OK
             except BoundViolationError as e:
                 summary, status = f"{p.id} {p.mode} FAILED bound-violation: {e}", EXIT_BOUND_VIOLATION
             except (UncertifiedMapError, ValueError) as e:

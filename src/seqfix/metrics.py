@@ -101,18 +101,30 @@ def dist_max(u: Sequence[float], v: Sequence[float]) -> float:
     return max(base_dist(a, b) for a, b in zip(u, v))
 
 
+def _overflows(x: BoundedSeq, y: BoundedSeq, m: int) -> bool:
+    """True when some difference ``|x_n - y_n|``, n <= m, overflows to ``inf``.
+
+    The two loops below ask this only when their last weight is 0.0. That is
+    the one case where ``weight * |x_n - y_n|`` can be ``0.0 * inf = nan``,
+    which their comparisons would skip: a weight is 0.0 only when it
+    underflowed past the explicit head, and from there the weights do not
+    increase, so the last one is 0.0 too.
+    """
+    return any(abs(a - b) == math.inf for a, b in zip(x.head(m + 1), y.head(m + 1)))
+
+
 def _sup(x: BoundedSeq, y: BoundedSeq, weights: list[float]) -> float:
     """sup_n weights[n] |x_n - y_n|, where the last weight is that of the constant tail.
 
     The entries of a ``BoundedSeq`` are finite floats already, so they are
-    read without validating them again. A tail difference that overflows
-    makes the distance ``inf``, never ``nan``, also where its weight
-    underflowed to 0.0.
+    read without validating them again. A coordinate difference that
+    overflows makes the distance ``inf``, never ``nan``, also where its
+    weight underflowed to 0.0.
     """
     m = len(weights) - 1
-    best = weights[m] * abs(x.tail - y.tail)
-    if math.isnan(best):  # 0.0 * inf
+    if weights[m] == 0.0 and _overflows(x, y, m):
         return math.inf
+    best = weights[m] * abs(x.tail - y.tail)
     for a_n, a, b in zip(weights, x.head(m), y.head(m)):
         v = a_n * abs(a - b)
         if v > best:
@@ -128,11 +140,11 @@ def _power(x: BoundedSeq, y: BoundedSeq, p: float, weights: list[float], ratio: 
     that overflows makes the distance ``inf``, never ``nan``.
     """
     m = len(weights) - 1
+    if weights[m] == 0.0 and _overflows(x, y, m):
+        return math.inf
     inv_p = 1.0 / p
     scaled = [a_n ** inv_p * abs(a - b) for a_n, a, b in zip(weights, x.head(m), y.head(m))]
     tail_anchor = weights[m] ** inv_p * abs(x.tail - y.tail)
-    # the tail anchor goes first: it is 0.0 * inf = nan when an overflowed tail
-    # difference meets an underflowed weight, and max returns a leading nan
     top = max([tail_anchor] + scaled)
     if top == 0.0:
         return 0.0

@@ -219,7 +219,7 @@ def find_p_certificate(f: SeqMap, q0: float) -> PCertificate | None:
     return None
 
 
-def sup_certificate_from_p(cert: PCertificate) -> SupCertificate:
+def sup_certificate_from_p(cert: PCertificate) -> SupCertificate | None:
     """Convert a power-distance certificate into a sup-distance certificate.
 
     Uses the comparison between the metric families: at a weight s with
@@ -227,8 +227,8 @@ def sup_certificate_from_p(cert: PCertificate) -> SupCertificate:
     ``lip / (1 - q/s**p)**(1/p)``, taken as ``inf`` elsewhere and where
     ``1 - q/s**p`` rounds to 0. The certificate sits at the crossing of
     that constant with s, so it is sound for any map the original
-    certificate covers. Raises ``ValueError`` when rounding puts the
-    crossing at 1.
+    certificate covers. None when rounding puts the crossing at 1, as in
+    :func:`find_sup_certificate`.
     """
 
     def lip_at(s: float) -> float:
@@ -236,7 +236,7 @@ def sup_certificate_from_p(cert: PCertificate) -> SupCertificate:
         return cert.lip / room ** (1.0 / cert.p) if room > 0.0 else math.inf
 
     s = _crossing(lip_at)
-    return SupCertificate(s, lip_at(s))
+    return SupCertificate(s, lip_at(s)) if s < 1.0 else None
 
 
 def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,6 +20,7 @@ from seqfix.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_UNCERTIFIED,
+    _MODES,
     ConfigError,
     ProblemConfig,
     config_to_dict,
@@ -298,18 +300,19 @@ def test_certify_survives_overflowing_power_constant(tmp_path):
 
 
 def test_uncertifiable_solve_exits_2(tmp_path, capsys):
-    config = write_config(
-        tmp_path,
-        [{
-            "id": "solve-half-sup",
-            "map": {"sup_half": {}},
-            "initial": {"prefix": [0.6], "tail": 0.0},
-            "tolerance": 1e-6,
-            "mode": "solve",
-        }],
-    )
+    half = {"sup_half": {}}
+    config = write_config(tmp_path, [
+        problem("solve-half-sup", "solve", map=half, initial={"prefix": [0.6], "tail": 0.0}),
+        problem("truncate-half-sup", "truncate", map=half, n_max=3, base=0.0),
+    ])
     assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
-    assert "FAILED uncertified" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        "solve-half-sup solve FAILED uncertified",
+        "truncate-half-sup truncate FAILED uncertified",
+    ]
+    # a failed problem writes no table; an uncertified certify writes its header only
+    # (test_certify_with_q0_on_maps_without_power_constants)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["config_echo.json"]
 
 
 def test_bound_violation_exits_3(tmp_path, capsys, monkeypatch):
@@ -454,6 +457,18 @@ def test_cli_batch_matches_golden_output_byte_for_byte(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == expected
     for name in expected:
         assert (out / name).read_bytes() == (GOLDEN / "expected" / name).read_bytes(), name
+
+
+def test_readme_and_golden_config_cover_every_mode():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    for mode, (header, required, _) in _MODES.items():
+        row = re.search(rf"^\| `{mode}` .*$", readme, re.M)
+        assert row is not None, mode
+        assert f"`{header}`" in row.group(0), mode
+        for field in required:
+            assert f"`{field}`" in row.group(0), (mode, field)
+    golden = json.loads((GOLDEN / "config.json").read_text())
+    assert {p["mode"] for p in golden["problems"]} == set(_MODES)
 
 
 def test_presic_hint_that_rounds_to_one_is_uncertified(tmp_path, capsys):

@@ -357,12 +357,15 @@ geometric_qs = st.one_of(st.floats(min_value=5e-324, max_value=1.0),
                          st.sampled_from([1e-200, 0.5, 0.0, -0.5, 1.5, math.nan, math.inf]))
 exponents = st.one_of(ps, st.sampled_from([1.0, 64.0, 1e6, 0.5, -1.0, math.nan, math.inf]))
 DEEP = BoundedSeq((0.0,) * 1100, 1e308)  # its tail's weight 0.5**1100 underflows where the difference overflows
+# at q = 1e-200 the weight q**2 of index 2 underflows where the difference overflows
+HEAD_OVER = BoundedSeq((0.0, 0.0, 1e308), 0.0), BoundedSeq((0.0, 0.0, -1e308), 0.0)
 
 
 @settings(max_examples=400)
 @given(wide_seqs, wide_seqs, geometric_qs)
 @example(DEEP, BoundedSeq.constant(-1e308), 0.5)
 @example(BoundedSeq((1.0, 2.0, 3.0), 1e308), BoundedSeq.constant(-1e308), 1e-200)
+@example(*HEAD_OVER, 1e-200)
 def test_dist_sup_geom_equals_the_weighted_distance_bit_for_bit(x, y, q):
     assert outcome(dist_sup_geom, x, y, q) == outcome(sup_geom_through_weights, x, y, q)
 
@@ -372,8 +375,15 @@ def test_dist_sup_geom_equals_the_weighted_distance_bit_for_bit(x, y, q):
 @example(DEEP, BoundedSeq.constant(-1e308), 2.0, 0.5)
 @example(BoundedSeq((1.0, 2.0, 3.0), 1e308), BoundedSeq.constant(-1e308), 3.5, 1e-200)
 @example(BoundedSeq((1.0, 2.0, 3.0), 1.0), BoundedSeq.constant(-1.0), 2.0, 1e-200)
+@example(*HEAD_OVER, 2.0, 1e-200)
 def test_dist_p_geom_equals_the_weighted_distance_bit_for_bit(x, y, p, q):
     assert outcome(dist_p_geom, x, y, p, q) == outcome(p_geom_through_weights, x, y, p, q)
+
+
+def test_an_overflowing_head_difference_at_an_underflowed_weight_is_inf():
+    # 1e-200**2 * |1e308 - (-1e308)| is 0.0 * inf = nan at index 2, as at the tail
+    assert dist_sup_geom(*HEAD_OVER, 1e-200) == math.inf
+    assert dist_p_geom(*HEAD_OVER, 2.0, 1e-200) == math.inf
 
 
 @pytest.mark.parametrize("p, q, message", [

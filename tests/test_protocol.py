@@ -95,9 +95,8 @@ def test_sup_certificate_from_p_sits_at_the_crossing():
 
     assert back.lip <= back.q < 1.0
     assert back.step_factor() <= min(max(comparison(s), s) for s in GRID) + 2.0**-52
-    # lip just below (1 - q)**(1/p): the crossing rounds to 1
-    with pytest.raises(ValueError, match=r"^certificate q must lie in \(0, 1\), got 1.0$"):
-        sup_certificate_from_p(PCertificate(2.0, 0.5, 0.7071067811865475))
+    # lip just below (1 - q)**(1/p): the crossing rounds to 1, so there is no certificate
+    assert sup_certificate_from_p(PCertificate(2.0, 0.5, 0.7071067811865475)) is None
 
 
 @given(
