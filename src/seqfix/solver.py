@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -96,7 +96,8 @@ class PCertificate(ContractionCertificate):
     """Witness of contraction for the (p, q) power distance.
 
     Valid when ``lip < (1 - q)**(1/p)``; the lifted map then contracts with
-    factor ``(lip**p + q)**(1/p) < 1``.
+    factor ``(lip**p + q)**(1/p) < 1``. Both must hold in floats: a step
+    factor that rounds to 1 would divide the a priori bound by zero.
     """
 
     p: float
@@ -107,8 +108,9 @@ class PCertificate(ContractionCertificate):
         p = ensure_exponent(self.p, "certificate p")
         q = ensure_weight(self.q, "certificate q")
         lip = ensure_finite(self.lip, "lip")
-        if not 0.0 <= lip < (1.0 - q) ** (1.0 / p):
-            raise ValueError(f"certificate requires lip < (1-q)^(1/p), got lip={lip}, q={q}, p={p}")
+        if not (0.0 <= lip < (1.0 - q) ** (1.0 / p) and self.step_factor() < 1.0):
+            raise ValueError(f"certificate requires lip < (1-q)^(1/p) and a step factor below 1, "
+                             f"got lip={lip}, q={q}, p={p}")
 
     def step_factor(self) -> float:
         return (self.lip**self.p + self.q) ** (1.0 / self.p)
@@ -152,10 +154,20 @@ def generalized_iterates(
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
+    values, lifted = _lifted_iterates(f, x0)
+    d1 = cert.gap(lifted, x0) if cert is not None else None
+    return _trace(f, islice(values, k_max), d1, cert)
+
+
+def _lifted_iterates(f: SeqMap, x0: BoundedSeq) -> tuple[Iterator[float], BoundedSeq]:
+    """The iterates v_1, v_2, ... of ``f.iterates(x0)`` and the first lifted sequence ``x0.prepend(v_1)``.
+
+    The distance from ``x0`` to that sequence, in a certificate's metric, is
+    the first-step displacement d1 of its a priori bound.
+    """
     values = f.iterates(x0)
     v1 = next(values)
-    d1 = cert.gap(x0.prepend(v1), x0) if cert is not None else None
-    return _trace(f, chain((v1,), islice(values, k_max - 1)), d1, cert)
+    return chain((v1,), values), x0.prepend(v1)
 
 
 def _trace(f: SeqMap, values: Iterable[float], d1: float | None, cert: ContractionCertificate | None) -> IterationTrace:
@@ -212,11 +224,19 @@ def find_p_certificate(f: SeqMap, q0: float) -> PCertificate | None:
     q0 = ensure_weight(q0, "q0")
     p = 1.0
     while p <= _P_GRID_MAX:
-        lip = f.lip_p(p, q0)
-        if lip < (1.0 - q0) ** (1.0 / p):
-            return PCertificate(p, q0, lip)
+        cert = _p_certificate(p, q0, f.lip_p(p, q0))
+        if cert is not None:
+            return cert
         p *= 2.0
     return None
+
+
+def _p_certificate(p: float, q: float, lip: float) -> PCertificate | None:
+    """``PCertificate(p, q, lip)``, or None where its condition fails, as for a non-finite ``lip``."""
+    try:
+        return PCertificate(p, q, lip)
+    except ValueError:
+        return None
 
 
 def sup_certificate_from_p(cert: PCertificate) -> SupCertificate | None:
@@ -293,11 +313,10 @@ def solve_fixed_point(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    values = f.iterates(x0)
-    v1 = next(values)
-    d1 = cert.gap(x0.prepend(v1), x0)
+    values, lifted = _lifted_iterates(f, x0)
+    d1 = cert.gap(lifted, x0)
     k = _smallest_k(cert, d1, tol)
-    trace = _trace(f, chain((v1,), islice(values, k - 1)), d1, cert)
+    trace = _trace(f, islice(values, k), d1, cert)
     last = trace.steps[-1]
     c = cert.diagonal_lip()
     allowance = tol * (1.0 + c) / (1.0 - c)
@@ -402,36 +421,35 @@ def truncation_study(
 ) -> TruncationReport:
     """Fixed points of truncations at ``base`` for arities 1 .. n_max.
 
-    Each truncated fixed point is found by the product-space recursion run
-    to tolerance tol/10 (the truncation contracts at least as well as the
-    certified map); the reference fixed point is solved at tol/1000. Every
-    observed error must respect the certified bound
+    Each truncated fixed point is the product-space recursion of the
+    arity-n truncation, run as the lifted iteration of its embedding from
+    the constant start ``base`` to tolerance tol/10, so the error column
+    resolves to tol/10. Freezing coordinates cannot raise a q-weighted sup
+    constant, so ``cert`` holds for every truncation; each arity plans its
+    steps with the better of ``cert`` and the truncation's own sup
+    certificate, when it has one. The reference fixed point is solved at
+    tol/1000. Every observed error must respect the certified bound
     ``q**n * lip / (1 - lip) * |reference - base|``; a violation raises
-    :class:`BoundViolationError`. A truncation that gets no sup certificate
-    raises :class:`UncertifiedMapError`.
+    :class:`BoundViolationError`.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     base = ensure_finite(base, "base point")
-    ref = solve_fixed_point(f, BoundedSeq.constant(base), cert, tol / 1000.0).value
+    start = BoundedSeq.constant(base)
+    ref = solve_fixed_point(f, start, cert, tol / 1000.0).value
     factor = cert.lip / (1.0 - cert.lip) * abs(ref - base)
     rows: list[TruncationRow] = []
     for n in range(1, n_max + 1):
         fn = truncate(f, n, base)
         if fn.lipschitz_hint is None or fn.lipschitz_hint >= 1.0:
             fn = FiniteArityMap(fn.arity, fn.rule, cert.lip)
-        sub = find_sup_certificate(embed_finite(fn))
-        if sub is None:
-            raise UncertifiedMapError(
-                f"uncertified truncation at arity {n}: hint {fn.lipschitz_hint!r} is too close to 1"
-            )
-        # the gap of the first lift from the constant start, without building either sequence
-        d1 = abs(fn(*(base,) * n) - base)
-        k = _smallest_k(sub, d1, tol / 10.0)
-        values = presic_iterates(fn, (base,) * n, k)
-        x_n = values[-1]
+        g = embed_finite(fn)
+        values, lifted = _lifted_iterates(g, start)
+        k = min(_smallest_k(c, c.gap(lifted, start), tol / 10.0)
+                for c in (cert, find_sup_certificate(g)) if c is not None)
+        x_n = next(islice(values, k - 1, None))
         error = abs(x_n - ref)
         bound = cert.q**n * factor
         if error > bound + tol:
@@ -469,6 +487,4 @@ def reduce_general_weights(
         lip_geo = a0 * lip_general
         return SupCertificate(ratio_bound, lip_geo) if lip_geo < 1.0 else None
     p = ensure_exponent(p)
-    if lip_general < ((1.0 - ratio_bound) / a0) ** (1.0 / p):
-        return PCertificate(p, ratio_bound, a0 ** (1.0 / p) * lip_general)
-    return None
+    return _p_certificate(p, ratio_bound, a0 ** (1.0 / p) * lip_general)

@@ -471,20 +471,20 @@ def test_readme_and_golden_config_cover_every_mode():
     assert {p["mode"] for p in golden["problems"]} == set(_MODES)
 
 
-def test_presic_hint_that_rounds_to_one_is_uncertified(tmp_path, capsys):
+def test_presic_hint_that_rounds_to_one_fails_only_the_solve(tmp_path, capsys):
     def presic(coeffs):
         return {"presic": {"rule": "affine", "coeffs": coeffs, "offset": 0.0}}
 
     config = write_config(tmp_path, [
         # hint 1 - 2**-53: its q rounds to 1.0
         problem("edge-solve", "solve", map=presic([0.5, 0.4999999999999999])),
-        # certified at arity 2, but the arity-3 truncation's q rounds to 1.0
+        # certified at arity 2; the arity-3 truncation's own q rounds to 1.0, so it plans with the map's
         problem("edge-truncate", "truncate", map=presic([0.5, 0.4999999999999998]), n_max=3, base=0.0),
     ])
     assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
     assert capsys.readouterr().out.splitlines() == [
         "edge-solve solve FAILED uncertified",
-        "edge-truncate truncate FAILED uncertified truncation at arity 3: hint 0.9999999999999998 is too close to 1",
+        "edge-truncate truncate x_star=0 n_max=3 error=0",
     ]
 
 

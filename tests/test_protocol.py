@@ -95,8 +95,9 @@ def test_sup_certificate_from_p_sits_at_the_crossing():
 
     assert back.lip <= back.q < 1.0
     assert back.step_factor() <= min(max(comparison(s), s) for s in GRID) + 2.0**-52
-    # lip just below (1 - q)**(1/p): the crossing rounds to 1, so there is no certificate
-    assert sup_certificate_from_p(PCertificate(2.0, 0.5, 0.7071067811865475)) is None
+    # lip just below (1 - q)**(1/p), with a step factor one ulp below 1: the crossing rounds to 1,
+    # so there is no certificate
+    assert sup_certificate_from_p(PCertificate(8.0, 0.5, 0.9170040432046711)) is None
 
 
 @given(

@@ -217,6 +217,19 @@ def test_find_p_certificate():
         find_p_certificate(RECUR, 1.0)
 
 
+def test_p_certificate_needs_a_step_factor_below_one_in_floats():
+    # lip < 1 - q holds, but lip + q rounds to 1: the a priori bound would divide by zero
+    with pytest.raises(ValueError, match="step factor below 1"):
+        PCertificate(1.0, 0.5, 0.49999999999999994)
+    f = LinearSeqMap((0.49999999999999994,), offset=1.0)
+    cert = find_p_certificate(f, 0.5)
+    assert cert == PCertificate(2.0, 0.5, 0.49999999999999994)
+    assert cert.step_factor() == pytest.approx(math.sqrt(0.75), abs=1e-15)
+    assert abs(solve_fixed_point(f, ZERO, cert, 1e-6).value - f.fixed_point()) <= 1e-6
+    assert reduce_general_weights(7.0, 0.9431995661853698, 0.2009483930429536, 3.0) is None
+    assert reduce_general_weights(7.0, 0.8086350979101008, 0.027337843155699884, 1.0) is None
+
+
 def test_sup_certificate_from_p():
     rng = random.Random(71)
     for _ in range(30):
@@ -410,14 +423,17 @@ def test_residual_above_the_roundoff_floor_is_still_a_violation():
         solve_fixed_point(f, ZERO, SupCertificate(0.5, 0.01), 1e-17)
 
 
-def test_truncation_without_a_certificate_is_uncertified():
-    # the arity-2 map certifies at q = 1 - 2**-53; its arity-3 truncation's q rounds to 1
+def test_truncation_without_its_own_certificate_plans_with_the_maps():
+    # the arity-2 map certifies at q = 1 - 2**-53; its arity-3 truncation's own q rounds to 1,
+    # but freezing coordinates keeps the map's certificate valid for every truncation
     g = FiniteArityMap(2, lambda a, b: 0.5 * a + 0.4999999999999998 * b, 0.9999999999999998)
     f = embed_finite(g)
     cert = find_sup_certificate(f)
     assert cert is not None
-    with pytest.raises(UncertifiedMapError, match="^uncertified truncation at arity 3: hint "):
-        truncation_study(f, cert, 0.0, 3, 1e-6)  # base 0.0 is the fixed point, so every run is 1 step
+    assert find_sup_certificate(embed_finite(truncate(f, 3, 0.0))) is None
+    report = truncation_study(f, cert, 0.0, 3, 1e-6)  # base 0.0 is the fixed point, so every run is 1 step
+    assert [row.n for row in report.rows] == [1, 2, 3]
+    assert all(row.error <= row.bound for row in report.rows)
 
 
 def test_start_too_far_from_its_image_is_a_value_error():

@@ -9,9 +9,11 @@ never stops early, for the product-space recursion.
 import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import seqfix.solver
 from seqfix import (
     BoundedSeq,
     FiniteArityMap,
@@ -130,17 +132,21 @@ class GenericRuleLinear(LinearSeqMap):
                        lipschitz_hint=sum(abs(self.coeff_at(k)) for k in range(n)))
 
 
+def rescaled(f, abs_sum):
+    """``f`` with its coefficients scaled so that sum |b_n| = abs_sum."""
+    total = f.sum_abs_coeffs()
+    if total == 0.0:
+        return LinearSeqMap((abs_sum,), 0.0, 0.0, f.offset)
+    # b / total first: abs_sum / total overflows when total is subnormal
+    return LinearSeqMap(tuple(b / total * abs_sum for b in f.head_coeffs), f.tail_coeff / total * abs_sum,
+                        f.tail_ratio, f.offset)
+
+
 @settings(max_examples=40, deadline=None)
 @given(linear_maps(max_head=4), st.floats(min_value=0.2, max_value=0.9),
        st.floats(min_value=-2.0, max_value=2.0), st.integers(min_value=1, max_value=8))
 def test_truncation_study_matches_generic_rule(f, abs_sum, base, n_max):
-    total = f.sum_abs_coeffs()
-    if total == 0.0:
-        f = LinearSeqMap((abs_sum,), 0.0, 0.0, f.offset)
-    else:
-        # b / total first: abs_sum / total overflows when total is subnormal
-        f = LinearSeqMap(tuple(b / total * abs_sum for b in f.head_coeffs), f.tail_coeff / total * abs_sum,
-                         f.tail_ratio, f.offset)
+    f = rescaled(f, abs_sum)
     cert = find_sup_certificate(f)
     assert cert is not None
     reference = GenericRuleLinear(f.head_coeffs, f.tail_coeff, f.tail_ratio, f.offset)
@@ -238,3 +244,65 @@ def test_presic_stops_calling_the_rule_once_stationary():
     calls.clear()
     assert presic_iterates(g, (t, t), 50) == [t] * 50
     assert len(calls) == 1
+
+
+def values_read(f, cert, base, n_max, tol):
+    """``truncation_study``'s report and how many iterates it reads at each arity, 1 .. n_max."""
+    counts = []
+    lifted_iterates = seqfix.solver._lifted_iterates
+
+    def counting(g, x0):
+        values, lifted = lifted_iterates(g, x0)
+        i = len(counts)
+        counts.append(0)
+
+        def tally():
+            for v in values:
+                counts[i] += 1
+                yield v
+
+        return tally(), lifted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqfix.solver, "_lifted_iterates", counting)
+        report = truncation_study(f, cert, base, n_max, tol)
+    return report, counts[1:]  # counts[0] is the reference solve
+
+
+def test_readme_truncations_plan_with_the_maps_certificate():
+    # the map's q = 5/6 beats each truncation's own q = (1/2)**(1/n) from n = 3 on
+    f = LinearSeqMap((1.0 / 3.0,), 1.0 / 6.0, 0.5, 1.0)
+    _, reads = values_read(f, find_sup_certificate(f), 0.0, 20, 1e-6)
+    assert reads == [16, 51] + [99] * 18
+    assert sum(reads) == 1849
+
+
+@st.composite
+def hinted_embedded(draw):
+    """An affine rule of arity 1-6 with sum |c| <= 0.9, embedded with a hint between sum |c| and 0.95."""
+    m = draw(st.integers(min_value=1, max_value=6))
+    raw = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=m, max_size=m))
+    mass = draw(st.floats(min_value=0.0, max_value=0.9))
+    total = sum(abs(c) for c in raw)
+    coeffs = [c / total * mass if total > 0.0 else 0.0 for c in raw]
+    hint = draw(st.floats(min_value=mass, max_value=0.95))
+    return embed_finite(replace(affine(coeffs, draw(st.floats(min_value=-2.0, max_value=2.0))), lipschitz_hint=hint))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.builds(rescaled, linear_maps(max_head=4), st.floats(min_value=0.2, max_value=0.9)),
+                 hinted_embedded()),
+       st.floats(min_value=-2.0, max_value=2.0), st.integers(min_value=1, max_value=8))
+def test_truncations_plan_no_more_steps_than_their_own_certificate(f, base, n_max):
+    tol = 1e-6
+    cert = find_sup_certificate(f)
+    report, reads = values_read(f, cert, base, n_max, tol)
+    assert len(reads) == n_max
+    for row, k in zip(report.rows, reads):
+        fn = truncate(f, row.n, base)
+        if fn.lipschitz_hint is None or fn.lipschitz_hint >= 1.0:
+            fn = FiniteArityMap(fn.arity, fn.rule, cert.lip)
+        own = find_sup_certificate(embed_finite(fn))
+        if own is not None:  # the plan before the map's certificate was consulted
+            assert k <= seqfix.solver._smallest_k(own, abs(fn(*(base,) * row.n) - base), tol / 10.0)
+        assert row.error <= row.bound + tol
