@@ -22,7 +22,6 @@ from abc import ABC, abstractmethod
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import ClassVar
 
 from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
@@ -366,10 +365,6 @@ class SupHalfMap(SeqMap):
 class FiniteArityMap:
     """A map on m-tuples of reals.
 
-    ``rule`` must be deterministic: equal arguments, bit for bit, give the
-    same value. The Prešić recursion relies on this to stop once its window
-    holds one value that the rule maps to itself.
-
     ``lipschitz_hint`` is a caller-supplied Lipschitz constant with respect
     to the maximum metric on tuples; it is consumed for certification and
     sanity-checked at most, never estimated from the black-box rule.
@@ -397,33 +392,16 @@ class FiniteArityMap:
         them; each new value pushes the oldest one out. This is the
         recursion x_{m+k} = g(x_{k+m-1}, ..., x_k) and, from the first m
         coordinates of a start, the lifted iteration of the embedded map.
-
-        Once the rule returns the value that fills its whole window, bit for
-        bit (0.0 and -0.0 differ), the recursion is stationary: the rule is
-        deterministic, so every later value is that value, and it is
-        repeated without calling the rule.
+        A window of another length raises ``ValueError`` at the first value.
         """
+        if len(window) != self.arity:
+            raise ValueError(f"expected a window of {self.arity} values, got {len(window)}")
         live = deque(window, maxlen=self.arity)  # appendleft drops the oldest value
-        newest = live[0]
-        run = 1  # length of the run of values bitwise equal to ``newest``, seeds included
-        while run < self.arity and _same_bits(live[run], newest):
-            run += 1
         call, push = self.__call__, live.appendleft
         while True:
             value = call(*live)
             push(value)
-            if _same_bits(value, newest):
-                run += 1
-                if run > self.arity:
-                    yield from repeat(value)
-            else:
-                newest, run = value, 1
             yield value
-
-
-def _same_bits(a: float, b: float) -> bool:
-    """Whether two finite floats are the same float, telling -0.0 from 0.0."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 @dataclass(frozen=True, eq=False)

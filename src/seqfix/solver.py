@@ -383,8 +383,7 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
     value t with g(t, ..., t) = t. They are, bit for bit, the generalized
     iterates of the embedded map from any start whose first m coordinates
     are the reversed seeds: :meth:`EmbeddedMap.iterates` runs the same
-    window loop. That loop stops calling ``g`` once the recursion is
-    stationary, so ``g`` must be deterministic.
+    window loop.
     """
     if len(seeds) != g.arity:
         raise ValueError(f"expected {g.arity} seeds, got {len(seeds)}")
@@ -442,10 +441,7 @@ def truncation_study(
     factor = cert.lip / (1.0 - cert.lip) * abs(ref - base)
     rows: list[TruncationRow] = []
     for n in range(1, n_max + 1):
-        fn = truncate(f, n, base)
-        if fn.lipschitz_hint is None or fn.lipschitz_hint >= 1.0:
-            fn = FiniteArityMap(fn.arity, fn.rule, cert.lip)
-        g = embed_finite(fn)
+        g = embed_finite(truncate(f, n, base))
         values, lifted = _lifted_iterates(g, start)
         k = min(_smallest_k(c, c.gap(lifted, start), tol / 10.0)
                 for c in (cert, find_sup_certificate(g)) if c is not None)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqfix import (
@@ -30,6 +30,7 @@ from seqfix import (
     truncate,
     truncation_study,
 )
+from seqfix.solver import _smallest_k
 
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
 RECUR_CERT = SupCertificate(0.8, RECUR.lip_sup(0.8))  # lip = 8/9
@@ -434,6 +435,67 @@ def test_truncation_without_its_own_certificate_plans_with_the_maps():
     report = truncation_study(f, cert, 0.0, 3, 1e-6)  # base 0.0 is the fixed point, so every run is 1 step
     assert [row.n for row in report.rows] == [1, 2, 3]
     assert all(row.error <= row.bound for row in report.rows)
+
+
+def test_truncation_study_reports_an_invalid_certificate():
+    # the claimed q = 0.05 is no certificate for RECUR: its lip_sup(0.05) is inf
+    cert = SupCertificate(0.05, find_sup_certificate(RECUR).lip)
+    assert RECUR.lip_sup(0.05) == math.inf
+    with pytest.raises(BoundViolationError,
+                       match=r"^truncation error 1\.500e\+00 at arity 1 exceeds certified bound 7\.500e-01$"):
+        truncation_study(RECUR, cert, 0.0, 5, 1e-6)
+
+
+class QuarterPair(SeqMap):
+    """1 + (x_0 + x_1) / 4, with no plain-sup constant on offer: its truncations carry no hint."""
+
+    def eval(self, x):
+        a, b = x.head(2)
+        return 1.0 + (a + b) / 4.0
+
+    def lip_sup(self, q):
+        return 0.25 + 0.25 / q if q < 1.0 else math.inf
+
+
+@pytest.mark.parametrize("base", [0.0, -1.5, 3.0])
+def test_truncation_study_of_a_map_without_a_plain_sup_constant(base):
+    f = QuarterPair()
+    assert truncate(f, 3, base).lipschitz_hint is None
+    cert = find_sup_certificate(f)
+    report = truncation_study(f, cert, base, 6, 1e-6)
+    assert [row.n for row in report.rows] == [1, 2, 3, 4, 5, 6]
+    for row in report.rows:
+        assert row.error <= row.bound + 1e-6
+        # arity 1 solves x = 1 + (x + base)/4; from arity 2 on the truncation is the map itself
+        closed = (4.0 + base) / 3.0 if row.n == 1 else 2.0
+        assert row.value == pytest.approx(closed, abs=1e-6)
+
+
+def test_smallest_k_corrects_the_closed_form_at_an_exact_bound():
+    # the closed form ceil(log(tol / bound(1)) / log(step factor)) gives 349 and 1332 here
+    over = SupCertificate(0.9486722155758944, 0.9288709373181624)
+    assert _smallest_k(over, 0.0021842794825523344, 4.2987496059591426e-10) == 350
+    under = SupCertificate(0.7303465766396973, 0.4768763837643533)
+    d1, tol = 0.021422298472161858, 1.1804108565699596e-183
+    assert under.a_priori_bound(1331, d1) == tol
+    assert _smallest_k(under, d1, tol) == 1331
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.01, max_value=0.999), st.floats(min_value=0.0, max_value=0.999),
+       st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=0.0, max_value=1.0), st.booleans())
+def test_smallest_k_at_an_exact_bound_is_the_least_sufficient_index(q, lip, d1, depth, below):
+    cert = SupCertificate(q, lip)
+    # k from 1 up to where the factor step_factor**(k-1) reaches 1e-300, so the bound stays a normal float
+    k = 1 + int(depth * 300 / -math.log10(cert.step_factor()))
+    tol = cert.a_priori_bound(k, d1)
+    if below:
+        tol = math.nextafter(tol, 0.0)
+    assume(tol > 0.0)
+    got = _smallest_k(cert, d1, tol)
+    assert cert.a_priori_bound(got, d1) <= tol
+    if got > 1:
+        assert cert.a_priori_bound(got - 1, d1) > tol
 
 
 def test_start_too_far_from_its_image_is_a_value_error():

@@ -2,8 +2,8 @@
 
 Each fast path is compared bit for bit (via ``float.hex``, which also tells
 -0.0 from 0.0) with the rule it replaces: ``f.eval(BoundedSeq(args, base))``
-for truncations, and a loop that rebuilds the window from the history, and
-never stops early, for the product-space recursion.
+for truncations, and a loop that rebuilds the window from the history for
+the product-space recursion.
 """
 
 import math
@@ -232,18 +232,23 @@ def test_embedded_iterates_keep_the_sign_of_zero():
     assert bits(s.value for s in trace.steps) == bits(presic_iterates(g, (0.0,), 9))
 
 
-def test_presic_stops_calling_the_rule_once_stationary():
-    calls = []
+def test_presic_reaches_and_keeps_the_float_fixed_point():
     inner = affine([0.5, 0.25], 1.0)
-    g = FiniteArityMap(2, lambda *args: calls.append(args) or inner.rule(*args))
+    g = FiniteArityMap(2, inner.rule)
     values = presic_iterates(g, (0.0, 0.0), 3000)
     t = values[-1]  # the float fixed point, a few ulps from 4
     assert len(values) == 3000 and inner(t, t) == t
-    assert len(calls) < 200
-    # seeds that already fill the window with the fixed point: one call
-    calls.clear()
     assert presic_iterates(g, (t, t), 50) == [t] * 50
-    assert len(calls) == 1
+
+
+def test_window_of_the_wrong_length_is_a_value_error():
+    g = FiniteArityMap(2, lambda a, b: 10 * a + b)
+    assert next(g.iterates((1.0, 2.0))) == 12.0  # newest first
+    for window in ((1.0, 2.0, 3.0), (1.0,)):
+        with pytest.raises(ValueError, match=f"^expected a window of 2 values, got {len(window)}$"):
+            next(g.iterates(window))
+    with pytest.raises(ValueError, match="^expected 2 seeds, got 3$"):
+        presic_iterates(g, (1.0, 2.0, 3.0), 1)
 
 
 def values_read(f, cert, base, n_max, tol):
@@ -300,8 +305,7 @@ def test_truncations_plan_no_more_steps_than_their_own_certificate(f, base, n_ma
     assert len(reads) == n_max
     for row, k in zip(report.rows, reads):
         fn = truncate(f, row.n, base)
-        if fn.lipschitz_hint is None or fn.lipschitz_hint >= 1.0:
-            fn = FiniteArityMap(fn.arity, fn.rule, cert.lip)
+        assert fn.lipschitz_hint is not None and fn.lipschitz_hint < 1.0  # both map families hint every truncation
         own = find_sup_certificate(embed_finite(fn))
         if own is not None:  # the plan before the map's certificate was consulted
             assert k <= seqfix.solver._smallest_k(own, abs(fn(*(base,) * row.n) - base), tol / 10.0)
