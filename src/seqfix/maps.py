@@ -171,6 +171,10 @@ class LinearSeqMap(SeqMap):
             acc += self.coeff_at(n) * x.prefix[n]
         return acc + x.tail * self.tail_sum_from(m)
 
+    def diagonal(self, t: float) -> float:
+        """``offset + t * sum_n b_n``, what :meth:`eval` computes on the constant sequence, bit for bit."""
+        return self.offset + ensure_finite(t, "tail") * self.tail_sum_from(0)
+
     def difference(self, a: BoundedSeq, b: BoundedSeq) -> float:
         """|f(a) - f(b)| through the offset-free form ``sum_n b_n (a_n - b_n)``.
 
@@ -473,6 +477,44 @@ def _random_seq(rng: random.Random, lo: float, hi: float) -> BoundedSeq:
     return BoundedSeq(tuple(prefix), tail)
 
 
+def _random_pairs(f: SeqMap, seed: int, trials: int = 200) -> list[tuple[BoundedSeq, BoundedSeq]]:
+    """The ``trials`` seeded random pairs of sequences from the map's domain, [-1, 1] when it has none."""
+    rng = random.Random(seed)
+    lo, hi = f.domain if f.domain is not None else (-1.0, 1.0)
+    return [(_random_seq(rng, lo, hi), _random_seq(rng, lo, hi)) for _ in range(trials)]
+
+
+def _lip_ratios(f: SeqMap, pairs: list[tuple[BoundedSeq, BoundedSeq]],
+                families: Sequence[tuple[float, float | None]]) -> list[float]:
+    """Per (q, p) family, the largest ratio |f(x) - f(y)| / d(x, y) over ``pairs``, then over its witnesses.
+
+    d is the q-weighted sup distance where p is None and the (p, q) power
+    distance otherwise. Each pair's :meth:`SeqMap.difference` is computed
+    once, by the first family that puts the pair at a positive distance,
+    and shared with the later ones. Each family pairs its own
+    :meth:`SeqMap.witnesses` with the zero sequence, so its maximum runs
+    over the same ratios, in the same order, as a call for that family alone.
+    """
+    diffs: list[float | None] = [None] * len(pairs)
+    zero = BoundedSeq.constant(0.0)
+    best = []
+    for q, p in families:
+        top = 0.0
+        for j, (a, b) in enumerate(pairs):
+            d = dist_sup_geom(a, b, q) if p is None else dist_p_geom(a, b, p, q)
+            if d > 0.0:
+                diff = diffs[j]
+                if diff is None:
+                    diff = diffs[j] = f.difference(a, b)
+                top = max(top, diff / d)
+        for witness in f.witnesses(q, p):
+            d = dist_sup_geom(witness, zero, q) if p is None else dist_p_geom(witness, zero, p, q)
+            if d > 0.0:
+                top = max(top, f.difference(witness, zero) / d)
+        best.append(top)
+    return best
+
+
 def empirical_lip_lower_bound(
     f: SeqMap,
     q: float,
@@ -490,18 +532,8 @@ def empirical_lip_lower_bound(
     exceed the analytic constant up to roundoff: both are rounded to
     nearest, and on the certify-sweep benchmark maps (seeds 0-5, 2,400
     bounds) 359 bounds exceed their constant, by at most 8.2e-16 relative.
-    See ROADMAP item 3, certificates that hold in floating point.
+    See ROADMAP item 5, certificates that hold in floating point.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = random.Random(seed)
-    lo, hi = f.domain if f.domain is not None else (-1.0, 1.0)
-    pairs = [(_random_seq(rng, lo, hi), _random_seq(rng, lo, hi)) for _ in range(trials)]
-    zero = BoundedSeq.constant(0.0)
-    pairs += [(witness, zero) for witness in f.witnesses(q, p)]
-    best = 0.0
-    for a, b in pairs:
-        d = dist_sup_geom(a, b, q) if p is None else dist_p_geom(a, b, p, q)
-        if d > 0.0:
-            best = max(best, f.difference(a, b) / d)
-    return best
+    return _lip_ratios(f, _random_pairs(f, seed, trials), [(q, p)])[0]

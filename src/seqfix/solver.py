@@ -264,7 +264,9 @@ def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
 
     Raises ``ValueError`` when that bound is not finite: the start is too far
     from its image for the first-step displacement, or the bound built from
-    it, to be a float.
+    it, to be a float. Raises it too when ``tol`` is so far below the first
+    bound that their ratio underflows to 0.0: such a tolerance is below
+    float resolution.
     """
     first = cert.a_priori_bound(1, d1)
     if first <= tol:
@@ -272,8 +274,12 @@ def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
     if not first < math.inf:
         raise ValueError(f"first-step displacement {d1:.3e} gives a non-finite a priori bound: "
                          "the start is too far from its image")
+    shrink = tol / first
+    if shrink == 0.0:
+        raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
+                         f"its ratio to the first a priori bound {first:.3e} underflows to 0")
     sf = cert.step_factor()
-    k = 1 + max(0, math.ceil(math.log(tol / first) / math.log(sf)))
+    k = 1 + max(0, math.ceil(math.log(shrink) / math.log(sf)))
     while cert.a_priori_bound(k, d1) > tol:
         k += 1
     while k > 1 and cert.a_priori_bound(k - 1, d1) <= tol:

@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqfix
-from seqfix import BoundViolationError, IterationTrace, TraceStep
+from seqfix import (
+    BoundViolationError,
+    IterationTrace,
+    TraceStep,
+    empirical_lip_lower_bound,
+    find_p_certificate,
+    find_sup_certificate,
+)
 from seqfix.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_CONFIG,
@@ -23,6 +30,7 @@ from seqfix.cli import (
     _MODES,
     ConfigError,
     ProblemConfig,
+    _fmt,
     config_to_dict,
     emit_trace,
     parse_config,
@@ -422,15 +430,44 @@ def test_deterministic_output(tmp_path, capsys):
 
 
 def test_solve_below_float_resolution_exits_2(tmp_path):
-    config = write_config(tmp_path, [problem("tiny-tol", "solve", tolerance=1e-17)])
+    # at 1e-17 the terminal residual is roundoff; at 5e-324 no step count can be planned
     env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == EXIT_UNCERTIFIED, done.stdout + done.stderr
-    assert "Traceback" not in done.stderr
-    assert done.stdout.startswith("tiny-tol solve FAILED tolerance 1.000e-17 is below float resolution")
+    for i, tol in enumerate((1e-17, 5e-324)):
+        config = write_config(tmp_path, [problem("tiny-tol", "solve", tolerance=tol)])
+        done = subprocess.run(
+            [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / f"out{i}")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == EXIT_UNCERTIFIED, done.stdout + done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout.startswith(f"tiny-tol solve FAILED tolerance {tol:.3e} is below float resolution")
+
+
+def test_certify_rows_equal_one_empirical_bound_per_family(tmp_path, capsys):
+    # certify scores one draw of pairs for both rows; each must equal the public bound's own draw
+    signed = {"linear": {"head_coeffs": [0.25, -0.125, 0.0, 0.0625], "tail_coeff": -0.05, "tail_ratio": -0.4,
+                         "offset": 2.0}}
+    presic = {"presic": {"rule": "affine", "coeffs": [0.25, 0.25], "offset": 1.0}}
+    problems = [
+        problem("recur", "certify", q0=0.5),
+        problem("signed", "certify", map=signed, q0=0.8),
+        problem("presic", "certify", map=presic, q0=0.5),
+        problem("half", "certify", map={"sup_half": {}}, initial={"prefix": [], "tail": 0.5}, q0=0.5),
+    ]
+    config = write_config(tmp_path, problems)
+    for seed in (0, 1, 7, 12345):
+        out = tmp_path / f"out{seed}"
+        assert run(config, str(out), seed=seed) == EXIT_OK
+        for p in parse_config(Path(config).read_text()):
+            f = p.build_map()
+            cert = find_sup_certificate(f)
+            pc = find_p_certificate(f, p.q0)
+            families = [] if cert is None else [(cert.q, None)] + ([] if pc is None else [(pc.q, pc.p)])
+            expected = [_fmt(empirical_lip_lower_bound(f, q, fp, seed=seed)) for q, fp in families]
+            rows = (out / f"{p.id}.csv").read_text().splitlines()[1:]
+            assert [row.split(",")[4] for row in rows] == expected, (p.id, seed)
+    assert len((tmp_path / "out0" / "recur.csv").read_text().splitlines()) == 3  # a sup and a p row
+    capsys.readouterr()
 
 
 def test_certify_with_q0_on_maps_without_power_constants(tmp_path, capsys):

@@ -96,6 +96,36 @@ def test_diagonal():
     assert RECUR.diagonal(3.0) == pytest.approx(3.0, abs=1e-12)
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def hex_or_error(fn, t):
+    """``fn(t)`` in hex, or the message of the ``ValueError`` it raises."""
+    try:
+        return fn(t).hex()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300)
+@given(st.lists(FINITE, max_size=5), FINITE, st.floats(-0.999, 0.999), FINITE, st.floats())
+@example([0.5], 0.0, 0.0, 0.0, 0.0)
+@example([0.5], 0.0, 0.0, -0.0, -0.0)  # -0.0 + (-0.0) * 0.5 keeps the sign
+@example([0.5, 0.75], 0.25, 0.5, 1.0, 1e308)  # t * sum_n b_n overflows to inf
+@example([1e308, 1e308], 0.0, 0.0, 0.0, 1.0)  # sum_n b_n overflows, then the value
+@example([-0.5], 0.0, 0.0, 1e308, -1e308)  # offset + t * sum_n b_n overflows
+@example([1e-16, 1.0], -1.0, 0.0, 0.0, 1.0)  # sum_n b_n depends on the order of summation
+@example([0.5], 0.0, 0.0, 1.0, math.inf)
+@example([0.5], 0.0, 0.0, 1.0, -math.inf)
+@example([0.5], 0.0, 0.0, 1.0, math.nan)
+def test_linear_diagonal_is_eval_on_the_constant_sequence_bit_for_bit(head, tail_coeff, tail_ratio, offset, t):
+    f = LinearSeqMap(tuple(head), tail_coeff, tail_ratio, offset)
+    ours = hex_or_error(f.diagonal, t)
+    assert ours == hex_or_error(lambda v: f.eval(BoundedSeq.constant(v)), t)
+    if not math.isfinite(t):
+        assert ours == f"tail must be finite, got {t!r}"
+
+
 def test_coefficient_sums():
     assert RECUR.sum_coeffs() == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert LinearSeqMap().sum_coeffs() == 0.0

@@ -413,8 +413,10 @@ def test_tolerance_below_float_resolution_is_not_a_bound_violation():
     with pytest.raises(ValueError, match="below float resolution") as caught:
         solve_fixed_point(RECUR, ZERO, cert, 1e-17)
     assert not isinstance(caught.value, BoundViolationError)
-    with pytest.raises(ValueError, match="below float resolution"):
-        solve_fixed_point(RECUR, ZERO, cert, 1e-300)
+    for tol in (1e-300, 5e-324):  # at 5e-324, tol / (first a priori bound) underflows to 0.0
+        with pytest.raises(ValueError, match="below float resolution") as caught:
+            solve_fixed_point(RECUR, ZERO, cert, tol)
+        assert not isinstance(caught.value, BoundViolationError)
     assert solve_fixed_point(RECUR, ZERO, cert, 1e-12).value == pytest.approx(3.0, abs=1e-12)
 
 
