@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .maps import FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, _lip_ratios, _random_pairs, embed_finite
+from .maps import FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, _lip_lower_bounds, embed_finite
 from .sequences import BoundedSeq, ensure_finite
 from .solver import (
     BoundViolationError,
@@ -296,7 +296,7 @@ def _certify(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
         return "UNCERTIFIED", []
     pc = None if p.q0 is None else find_p_certificate(f, p.q0)
     families = [(cert.q, None)] if pc is None else [(cert.q, None), (pc.q, pc.p)]
-    emps = _lip_ratios(f, _random_pairs(f, seed), families)
+    emps = _lip_lower_bounds(f, families, 200, seed)
     rows = [f"sup,{_fmt(cert.q)},,{_fmt(cert.lip)},{_fmt(emps[0])}"]
     if pc is not None:
         rows.append(f"p,{_fmt(pc.q)},{_fmt(pc.p)},{_fmt(pc.lip)},{_fmt(emps[1])}")

@@ -312,8 +312,8 @@ class LinearSeqMap(SeqMap):
         # log of each series term |b_k|**conj / q**(k*scale)
         logs = [conj * math.log(abs(b)) - k * scale * math.log(q)
                 for k, b in enumerate(self.head_coeffs) if b != 0.0]
-        tail_log = None
-        tail_step = 0.0
+        # without a tail, its log is -inf and its geometric sum exp(-inf) / 1 is 0.0
+        tail_log, tail_step = -math.inf, 0.0
         if self.tail_coeff != 0.0:
             if r_abs**p >= q:
                 return math.inf
@@ -323,13 +323,11 @@ class LinearSeqMap(SeqMap):
             tail_step = r_abs**conj / w if w > 0.0 else (r_abs**p / q) ** scale
             if tail_step >= 1.0:  # r_abs**p < q, but the ratio rounds up to 1: no float sum
                 return math.inf
-            logs.append(tail_log)
-        if not logs:
+        top = max(logs + [tail_log])
+        if top == -math.inf:
             return 0.0
-        top = max(logs)
-        total = sum(math.exp(v - top) for v in logs if v != tail_log)
-        if tail_log is not None:
-            total += math.exp(tail_log - top) / (1.0 - tail_step)
+        # the head terms, each once, then the tail's geometric sum
+        total = sum(math.exp(v - top) for v in logs) + math.exp(tail_log - top) / (1.0 - tail_step)
         try:
             scale_out = math.exp(top / conj)
         except OverflowError:
@@ -477,35 +475,28 @@ def _random_seq(rng: random.Random, lo: float, hi: float) -> BoundedSeq:
     return BoundedSeq(tuple(prefix), tail)
 
 
-def _random_pairs(f: SeqMap, seed: int, trials: int = 200) -> list[tuple[BoundedSeq, BoundedSeq]]:
-    """The ``trials`` seeded random pairs of sequences from the map's domain, [-1, 1] when it has none."""
-    rng = random.Random(seed)
-    lo, hi = f.domain if f.domain is not None else (-1.0, 1.0)
-    return [(_random_seq(rng, lo, hi), _random_seq(rng, lo, hi)) for _ in range(trials)]
-
-
-def _lip_ratios(f: SeqMap, pairs: list[tuple[BoundedSeq, BoundedSeq]],
-                families: Sequence[tuple[float, float | None]]) -> list[float]:
-    """Per (q, p) family, the largest ratio |f(x) - f(y)| / d(x, y) over ``pairs``, then over its witnesses.
+def _lip_lower_bounds(f: SeqMap, families: Sequence[tuple[float, float | None]], trials: int, seed: int) -> list[float]:
+    """Per (q, p) family, the largest ratio |f(x) - f(y)| / d(x, y) over seeded pairs, then over its witnesses.
 
     d is the q-weighted sup distance where p is None and the (p, q) power
-    distance otherwise. Each pair's :meth:`SeqMap.difference` is computed
-    once, by the first family that puts the pair at a positive distance,
-    and shared with the later ones. Each family pairs its own
-    :meth:`SeqMap.witnesses` with the zero sequence, so its maximum runs
-    over the same ratios, in the same order, as a call for that family alone.
+    distance otherwise. The ``trials`` pairs are drawn from ``seed`` in the
+    map's domain, [-1, 1] when it has none, and each pair's
+    :meth:`SeqMap.difference` is taken once, in draw order, for every
+    family. Each family then pairs its own :meth:`SeqMap.witnesses` with the
+    zero sequence, so its maximum runs over the same ratios, in the same
+    order, as a call for that family alone.
     """
-    diffs: list[float | None] = [None] * len(pairs)
+    rng = random.Random(seed)
+    lo, hi = f.domain if f.domain is not None else (-1.0, 1.0)
+    pairs = [(_random_seq(rng, lo, hi), _random_seq(rng, lo, hi)) for _ in range(trials)]
+    scored = [(a, b, f.difference(a, b)) for a, b in pairs]
     zero = BoundedSeq.constant(0.0)
     best = []
     for q, p in families:
         top = 0.0
-        for j, (a, b) in enumerate(pairs):
+        for a, b, diff in scored:
             d = dist_sup_geom(a, b, q) if p is None else dist_p_geom(a, b, p, q)
             if d > 0.0:
-                diff = diffs[j]
-                if diff is None:
-                    diff = diffs[j] = f.difference(a, b)
                 top = max(top, diff / d)
         for witness in f.witnesses(q, p):
             d = dist_sup_geom(witness, zero, q) if p is None else dist_p_geom(witness, zero, p, q)
@@ -536,4 +527,4 @@ def empirical_lip_lower_bound(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return _lip_ratios(f, _random_pairs(f, seed, trials), [(q, p)])[0]
+    return _lip_lower_bounds(f, [(q, p)], trials, seed)[0]

@@ -17,6 +17,7 @@ import seqfix
 from seqfix import (
     BoundViolationError,
     IterationTrace,
+    LinearSeqMap,
     TraceStep,
     empirical_lip_lower_bound,
     find_p_certificate,
@@ -27,6 +28,7 @@ from seqfix.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_UNCERTIFIED,
+    _MAP_KINDS,
     _MODES,
     ConfigError,
     ProblemConfig,
@@ -467,6 +469,46 @@ def test_certify_rows_equal_one_empirical_bound_per_family(tmp_path, capsys):
             rows = (out / f"{p.id}.csv").read_text().splitlines()[1:]
             assert [row.split(",")[4] for row in rows] == expected, (p.id, seed)
     assert len((tmp_path / "out0" / "recur.csv").read_text().splitlines()) == 3  # a sup and a p row
+    capsys.readouterr()
+
+
+def test_certify_rows_are_never_below_their_empirical_bound(tmp_path, capsys):
+    # at q0 = 0.25 the tied map's p = 2 series terms of b_0 and of the tail are equal; its lip must count both
+    tied = {"linear": {"head_coeffs": [0.5], "tail_coeff": 0.25, "tail_ratio": 0.1, "offset": 1.0}}
+    config = write_config(tmp_path, [problem("recur", "certify", q0=0.5), problem("tied", "certify", map=tied, q0=0.25)])
+    assert run(config, str(tmp_path / "out")) == EXIT_OK
+    for pid in ("recur", "tied"):
+        rows = [row.split(",") for row in (tmp_path / "out" / f"{pid}.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["sup", "p"]
+        for family, _, _, lip, lower in rows:
+            assert float(lower) <= float(lip) * (1 + 1e-12), (pid, family, lip, lower)
+    capsys.readouterr()
+
+
+class CountingLinearMap(LinearSeqMap):
+    """A linear map that counts its difference calls."""
+
+    calls = 0
+
+    def difference(self, a, b):
+        CountingLinearMap.calls += 1
+        return super().difference(a, b)
+
+
+def test_certify_takes_one_difference_per_drawn_pair(tmp_path, capsys, monkeypatch):
+    keys, normalize, _ = _MAP_KINDS["linear"]
+    monkeypatch.setitem(_MAP_KINDS, "linear", (keys, normalize, lambda params: CountingLinearMap(
+        tuple(params["head_coeffs"]), params["tail_coeff"], params["tail_ratio"], params["offset"])))
+    f = CountingLinearMap((1.0 / 3.0,), 1.0 / 6.0, 0.5, 1.0)
+    cert, pc = find_sup_certificate(f), find_p_certificate(f, 0.5)
+    witnesses = len(list(f.witnesses(cert.q, None))) + len(list(f.witnesses(pc.q, pc.p)))
+    assert witnesses == 1 + 65  # one sup witness, and a unit vector per depth for p = 1
+    CountingLinearMap.calls = 0
+    assert run(write_config(tmp_path, [problem("recur", "certify", q0=0.5)]), str(tmp_path / "out")) == EXIT_OK
+    assert CountingLinearMap.calls == 200 + witnesses
+    CountingLinearMap.calls = 0
+    empirical_lip_lower_bound(f, pc.q, pc.p, trials=50, seed=3)
+    assert CountingLinearMap.calls == 50 + 65
     capsys.readouterr()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,8 @@ from seqfix.maps import _random_seq
 
 # the recurring worked example: b_n = 1/(3 * 2^n), offset 1
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
+# at q = 0.25 the p = 2 series terms of b_0 and of the tail's first coefficient are equal, 0.25 each
+TIED = LinearSeqMap((0.5,), 0.25, 0.1, 1.0)
 
 
 def brute_eval(f, x, terms=2000):
@@ -405,6 +408,8 @@ def test_empirical_never_exceeds_analytic():
         for p in (1.0, 2.0):
             got_p = empirical_lip_lower_bound(f, 0.8, p=p, trials=40, seed=i)
             assert got_p <= f.lip_p(p, 0.8) * (1 + 1e-12)
+    # the tail's p = 2 series term ties the head's at q = 0.25: 0.25**2 / 0.25 == 0.5**2
+    assert empirical_lip_lower_bound(TIED, 0.25, p=2.0, trials=40, seed=0) <= TIED.lip_p(2.0, 0.25) * (1 + 1e-12)
 
 
 def test_empirical_survives_offset_cancellation():
@@ -499,7 +504,10 @@ def test_empirical_bound_is_pinned(f, q, p, seed, expected):
 
 
 def lip_p_before_underflow_guard(f, p, q):
-    """LinearSeqMap.lip_p as it read before q**scale underflow and a rounded tail ratio were handled."""
+    """LinearSeqMap.lip_p as it read before q**scale underflow and a rounded tail ratio were handled.
+
+    One later fix is carried over: a head term whose log ties the tail's is summed, not dropped.
+    """
     n = len(f.head_coeffs)
     r_abs = abs(f.tail_ratio)
     if p == 1.0:
@@ -519,7 +527,7 @@ def lip_p_before_underflow_guard(f, p, q):
     if not logs:
         return 0.0
     top = max(logs)
-    total = sum(math.exp(v - top) for v in logs if v != tail_log)
+    total = sum(math.exp(v - top) for v in (logs if tail_log is None else logs[:-1]))
     if tail_log is not None:
         total += math.exp(tail_log - top) / (1.0 - tail_step)
     try:
@@ -569,3 +577,44 @@ def test_lip_p_keeps_every_value_it_returned_before(head, tail, ratio, p, q):
         return
     if isinstance(want, float):
         assert got.hex() == want.hex()
+
+
+def exact_lip(f, q, p):
+    """The closed form of lip_sup (p None), of lip_p(1, q) and the square of lip_p(2, q), in exact rationals."""
+    q = Fraction(q)
+    n, c, r = len(f.head_coeffs), Fraction(f.tail_coeff), Fraction(abs(f.tail_ratio))
+    head = [(k, Fraction(abs(b))) for k, b in enumerate(f.head_coeffs) if b != 0.0]
+    if p is None:
+        return sum((b / q**k for k, b in head), Fraction(0)) + (abs(c) / q**n / (1 - r / q) if c else 0)
+    if p == 1.0:
+        return max([b / q**k for k, b in head] + ([abs(c) / q**n] if c else []), default=Fraction(0))
+    return sum((b**2 / q**k for k, b in head), Fraction(0)) + (c**2 / q**n / (1 - r**2 / q) if c else 0)
+
+
+oracle_coeffs = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0), st.floats(min_value=-1.0, max_value=-1e-6))
+
+
+@st.composite
+def linear_maps_and_weights(draw):
+    """A linear map whose constants at weight q are finite; about a third tie a head term with the tail at p = 2."""
+    q = draw(st.floats(min_value=0.05, max_value=0.99))
+    head = draw(st.lists(oracle_coeffs, max_size=6))
+    ratio = q * draw(st.floats(min_value=-0.9, max_value=0.9))
+    nonzero = [j for j, b in enumerate(head) if b != 0.0]
+    if nonzero and draw(st.integers(0, 2)) == 0:
+        j = draw(st.sampled_from(nonzero))
+        tail = head[j] * math.sqrt(q) ** (len(head) - j)  # tail**2 / q**n == b_j**2 / q**j, up to rounding
+    else:
+        tail = draw(oracle_coeffs)
+    return LinearSeqMap(tuple(head), tail, ratio), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_maps_and_weights())
+@example((TIED, 0.25))
+def test_linear_constants_match_exact_rationals(map_and_weight):
+    f, q = map_and_weight
+    for p, got in ((None, f.lip_sup(q)), (1.0, f.lip_p(1.0, q)), (2.0, f.lip_p(2.0, q) ** 2)):
+        want = exact_lip(f, q, p)
+        assert abs(Fraction(got) - want) <= Fraction(1e-12) * want, (p, got, float(want))
+
