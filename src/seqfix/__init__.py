@@ -18,8 +18,6 @@ from .maps import (
 )
 from .metrics import (
     WeightSeq,
-    base_dist,
-    dist_max,
     dist_p_geom,
     dist_p_weighted,
     dist_sup_geom,
@@ -53,45 +51,3 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundedSeq",
-    "BoundViolationError",
-    "ContractionCertificate",
-    "EmbeddedMap",
-    "FiniteArityMap",
-    "FixedPointSolution",
-    "IterationTrace",
-    "LinearSeqMap",
-    "PCertificate",
-    "SeceleanStep",
-    "SeqMap",
-    "SupCertificate",
-    "SupHalfMap",
-    "TraceStep",
-    "TruncationReport",
-    "TruncationRow",
-    "UncertifiedMapError",
-    "WeightSeq",
-    "base_dist",
-    "dist_max",
-    "dist_p_geom",
-    "dist_p_weighted",
-    "dist_sup_geom",
-    "dist_sup_weighted",
-    "embed_finite",
-    "empirical_lip_lower_bound",
-    "find_p_certificate",
-    "find_sup_certificate",
-    "generalized_iterates",
-    "lift_step",
-    "presic_iterates",
-    "reduce_general_weights",
-    "secelean_iterates",
-    "solve_fixed_point",
-    "sup_certificate_from_p",
-    "truncate",
-    "truncation_study",
-    "validate_p_weights",
-    "validate_sup_weights",
-]

@@ -11,7 +11,6 @@ what the contraction certificates are built on.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .sequences import BoundedSeq, ensure_finite
@@ -85,20 +84,6 @@ def ensure_exponent(p: float, what: str = "p") -> float:
     if p < 1.0:
         raise ValueError(f"{what} must be >= 1, got {p}")
     return p
-
-
-def base_dist(x: float, y: float) -> float:
-    """Distance |x - y| on the underlying space (the real line)."""
-    return abs(ensure_finite(x, "point") - ensure_finite(y, "point"))
-
-
-def dist_max(u: Sequence[float], v: Sequence[float]) -> float:
-    """Maximum coordinate distance between two equal-length tuples."""
-    if len(u) != len(v):
-        raise ValueError(f"tuple lengths differ: {len(u)} vs {len(v)}")
-    if not u:
-        raise ValueError("tuples must have at least one coordinate")
-    return max(base_dist(a, b) for a, b in zip(u, v))
 
 
 def _overflows(x: BoundedSeq, y: BoundedSeq, m: int) -> bool:

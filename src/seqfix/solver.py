@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 
 # lift_step lives in maps, where SeqMap.iterates calls it; seqfix.solver.lift_step stays public
-from .maps import FiniteArityMap, SeqMap, embed_finite, lift_step, truncate  # noqa: F401
+from .maps import FiniteArityMap, SeqMap, lift_step, truncate  # noqa: F401
 from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
 from .sequences import BoundedSeq, ensure_finite
 
@@ -259,8 +259,28 @@ def sup_certificate_from_p(cert: PCertificate) -> SupCertificate | None:
     return SupCertificate(s, lip_at(s)) if s < 1.0 else None
 
 
+#: the most steps a plan may ask for: a longer one is refused before iterating, since it would not end in time
+_STEP_BUDGET = 10**6
+
+
 def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
     """Smallest iterate index whose a priori bound is at most tol.
+
+    Raises ``ValueError`` where :func:`_plan_length` does, and when that
+    index is above :data:`_STEP_BUDGET`.
+    """
+    k = _plan_length(cert.lip, cert.step_factor(), d1, tol)
+    if k > _STEP_BUDGET:
+        raise _over_budget(k)
+    return k
+
+
+def _over_budget(plan: int) -> ValueError:
+    return ValueError(f"the a priori bound plans {plan} steps, more than the step budget {_STEP_BUDGET}")
+
+
+def _plan_length(lip: float, sf: float, d1: float, tol: float) -> int:
+    """Smallest k with ``lip * sf**(k-1) / (1 - sf) * d1 <= tol``, the a priori bound of step factor ``sf < 1``.
 
     Raises ``ValueError`` when that bound is not finite: the start is too far
     from its image for the first-step displacement, or the bound built from
@@ -268,7 +288,11 @@ def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
     bound that their ratio underflows to 0.0: such a tolerance is below
     float resolution.
     """
-    first = cert.a_priori_bound(1, d1)
+
+    def bound(k: int) -> float:
+        return lip * sf ** (k - 1) / (1.0 - sf) * d1
+
+    first = bound(1)
     if first <= tol:
         return 1
     if not first < math.inf:
@@ -278,17 +302,64 @@ def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
     if shrink == 0.0:
         raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
                          f"its ratio to the first a priori bound {first:.3e} underflows to 0")
-    sf = cert.step_factor()
     k = 1 + max(0, math.ceil(math.log(shrink) / math.log(sf)))
-    while cert.a_priori_bound(k, d1) > tol:
+    while bound(k) > tol:
         k += 1
-    while k > 1 and cert.a_priori_bound(k - 1, d1) <= tol:
+    while k > 1 and bound(k - 1) <= tol:
         k -= 1
     return k
 
 
 #: residuals up to this many ulps of the fixed point's magnitude are float roundoff
 _ROUNDOFF_ULPS = 4
+
+
+def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: float) -> float:
+    """Iterate ``t <- d(t)`` from ``t`` until it is within ``tol`` of the fixed point of ``d``.
+
+    ``c < 1`` is a Lipschitz constant of ``d``. With δ, :data:`_ROUNDOFF_ULPS`
+    ulps of the larger of t_{k-1} and t_k, for the roundoff of one
+    evaluation, the a posteriori bound is
+    ``|t_k - t*| <= (c·|t_k - t_{k-1}| + δ) / (1 - c)``, and the loop stops
+    at the first k where it is at most ``tol``. δ is read only where it can
+    decide: when ``c·|t_k - t_{k-1}|`` alone passes, or when the step did
+    not shrink, as in exact arithmetic it would. A step within δ raises
+    ``ValueError`` at once if δ alone leaves no room for the stop or the
+    step stopped shrinking: ``tol`` is below float resolution, and more
+    steps only repeat roundoff.
+
+    The loop is capped by the a priori plan
+    ``c**k / (1 - c) · |t_1 - t_0| <= tol``, by which the stop must have
+    come, and by :data:`_STEP_BUDGET`. At the cap it raises ``ValueError``
+    when the plan is over budget or only δ blocks the stop, and
+    :class:`BoundViolationError` otherwise: the steps shrink too slowly for
+    ``c``.
+    """
+    room = tol * (1.0 - c)
+    prev, t = t, d(t)
+    plan = _plan_length(c, c, abs(t - prev), tol)
+    cap = min(plan, _STEP_BUDGET)
+    k, last = 1, math.inf
+    while True:
+        step = abs(t - prev)
+        if c * step <= room or step >= last:
+            roundoff = _ROUNDOFF_ULPS * math.ulp(max(abs(prev), abs(t)))
+            if c * step + roundoff <= room:
+                return t
+            if step <= roundoff and (roundoff > room or step >= last):
+                raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
+                                 f"the step {step:.3e} is within roundoff {roundoff:.3e}")
+        if k == cap:
+            break
+        prev, t, last = t, d(t), step
+        k += 1
+    if plan > cap:
+        raise _over_budget(plan)
+    if c * step <= room:
+        raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
+                         f"roundoff {roundoff:.3e} blocks the stop")
+    raise BoundViolationError(f"step {step:.3e} after the planned {plan} steps exceeds the certified "
+                              f"{room / c:.3e} for the diagonal constant {c:.6g}")
 
 
 @dataclass(frozen=True)
@@ -426,14 +497,16 @@ def truncation_study(
 ) -> TruncationReport:
     """Fixed points of truncations at ``base`` for arities 1 .. n_max.
 
-    Each truncated fixed point is the product-space recursion of the
-    arity-n truncation, run as the lifted iteration of its embedding from
-    the constant start ``base`` to tolerance tol/10, so the error column
-    resolves to tol/10. Freezing coordinates cannot raise a q-weighted sup
-    constant, so ``cert`` holds for every truncation; each arity plans its
-    steps with the better of ``cert`` and the truncation's own sup
-    certificate, when it has one. The reference fixed point is solved at
-    tol/1000. Every observed error must respect the certified bound
+    The fixed point of the lifted map is the constant sequence at the fixed
+    point of the diagonal ``t -> f(t, t, ...)``, and that of the arity-n
+    truncation ``g`` is the fixed point of ``t -> g(t, ..., t)``. Both are
+    iterated on the line from ``base`` with an a posteriori stop: the
+    reference at tol/1000 with ``cert.diagonal_lip()``, and each arity at
+    tol/10, so the error column resolves to tol/10. Freezing coordinates
+    cannot raise a q-weighted sup constant, and a max-metric constant of
+    ``g`` bounds its diagonal too, so arity n takes the smaller of
+    ``cert.lip`` and the truncation's ``lipschitz_hint``. Every observed
+    error must respect the certified bound
     ``q**n * lip / (1 - lip) * |reference - base|``; a violation raises
     :class:`BoundViolationError`.
     """
@@ -442,16 +515,13 @@ def truncation_study(
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     base = ensure_finite(base, "base point")
-    start = BoundedSeq.constant(base)
-    ref = solve_fixed_point(f, start, cert, tol / 1000.0).value
+    ref = _diagonal_fixed_point(f.diagonal, base, cert.diagonal_lip(), tol / 1000.0)
     factor = cert.lip / (1.0 - cert.lip) * abs(ref - base)
     rows: list[TruncationRow] = []
     for n in range(1, n_max + 1):
-        g = embed_finite(truncate(f, n, base))
-        values, lifted = _lifted_iterates(g, start)
-        k = min(_smallest_k(c, c.gap(lifted, start), tol / 10.0)
-                for c in (cert, find_sup_certificate(g)) if c is not None)
-        x_n = next(islice(values, k - 1, None))
+        g = truncate(f, n, base)
+        c = cert.lip if g.lipschitz_hint is None else min(cert.lip, g.lipschitz_hint)
+        x_n = _diagonal_fixed_point(lambda t: g(*(t,) * n), base, c, tol / 10.0)
         error = abs(x_n - ref)
         bound = cert.q**n * factor
         if error > bound + tol:

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqfix
@@ -445,6 +445,19 @@ def test_solve_below_float_resolution_exits_2(tmp_path):
         assert done.stdout.startswith(f"tiny-tol solve FAILED tolerance {tol:.3e} is below float resolution")
 
 
+def test_solve_over_the_step_budget_exits_2(tmp_path):
+    slow = {"linear": {"head_coeffs": [], "tail_coeff": 1e-7, "tail_ratio": 0.999999, "offset": 1.0}}
+    config = write_config(tmp_path, [problem("slow", "solve", map=slow)])
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_UNCERTIFIED, done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == "slow solve FAILED the a priori bound plans 30818188 steps, more than the step budget 1000000\n"
+
+
 def test_certify_rows_equal_one_empirical_bound_per_family(tmp_path, capsys):
     # certify scores one draw of pairs for both rows; each must equal the public bound's own draw
     signed = {"linear": {"head_coeffs": [0.25, -0.125, 0.0, 0.0625], "tail_coeff": -0.05, "tail_ratio": -0.4,
@@ -538,6 +551,26 @@ def test_cli_batch_matches_golden_output_byte_for_byte(tmp_path, capsys):
         assert (out / name).read_bytes() == (GOLDEN / "expected" / name).read_bytes(), name
 
 
+def test_golden_truncation_study_is_within_its_tolerances_of_the_closed_forms():
+    # the golden file is regenerated whenever the study's output changes; this holds it to the closed forms
+    (spec,) = [p for p in json.loads((GOLDEN / "config.json").read_text())["problems"] if p["id"] == "readme-truncate"]
+    f = LinearSeqMap(tuple(spec["map"]["linear"]["head_coeffs"]), spec["map"]["linear"]["tail_coeff"],
+                     spec["map"]["linear"]["tail_ratio"], spec["map"]["linear"]["offset"])
+    tol, base = spec["tolerance"], spec["base"]
+    assert f.fixed_point() == pytest.approx(3.0, abs=1e-15)
+    lines = (GOLDEN / "expected" / "readme-truncate.csv").read_text().splitlines()
+    assert lines[0] == "n,x_n,error,bound" and len(lines) == 1 + spec["n_max"]
+    for n, line in enumerate(lines[1:], 1):
+        row_n, x_n, error, bound = line.split(",")
+        x_n, error, bound = float(x_n), float(error), float(bound)
+        assert int(row_n) == n
+        closed = (f.offset + base * f.tail_sum_from(n)) / (1.0 - sum(f.coeff_at(i) for i in range(n)))
+        assert abs(x_n - closed) <= tol / 10.0
+        # every truncated fixed point lies below 3 here, so the reference is x_n + error
+        assert x_n < 3.0 and abs(x_n + error - 3.0) <= tol / 1000.0
+        assert error <= bound
+
+
 def test_readme_and_golden_config_cover_every_mode():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     for mode, (header, required, _) in _MODES.items():
@@ -604,11 +637,14 @@ def optional_fields(**strategies):
 
 
 # A certifiable valid map has sum |b_n| <= 0.9: at most 7 head coefficients and a tail coefficient,
-# each of at most 0.1, and |tail_ratio| <= 0.5. Then no solve plans more than a few thousand
-# O(k)-cost steps; a certificate q near 1 can plan millions. 1.0 and 1e308 make a map uncertified.
-coeffs = st.one_of(st.floats(min_value=-0.1, max_value=0.1), st.sampled_from([0.0, -0.0, 1e-300, 1.0, 1e308]))
+# each of at most 0.1, and |tail_ratio| <= 0.5; or a tail ratio of size 0.999999 with a tail
+# coefficient such as 1e-7. 1.0 and 1e308 make a map uncertified. A ratio of 0.999999 puts the
+# certificate's q above it, so a solve plans millions of steps, which the step budget refuses at
+# once. Ratios strictly between 0.5 and 0.999999 stay out: their plans can stay within the budget,
+# and the lifted step costs O(k), so such a solve takes minutes.
+coeffs = st.one_of(st.floats(min_value=-0.1, max_value=0.1), st.sampled_from([0.0, -0.0, 1e-300, 1e-7, 1.0, 1e308]))
 coeff_lists = mostly(st.lists(mostly(coeffs), max_size=7))
-ratios = st.one_of(st.floats(min_value=-0.5, max_value=0.5), st.sampled_from([-0.5, 1.0]))
+ratios = st.one_of(st.floats(min_value=-0.5, max_value=0.5), st.sampled_from([-0.5, 1.0, 0.999999, -0.999999]))
 points = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.sampled_from([0.0, 1.0, 1e-300, 1.7e308, -1e308]))
 linear_specs = optional_fields(head_coeffs=coeff_lists, tail_coeff=mostly(coeffs), tail_ratio=mostly(ratios),
                                offset=mostly(points))
@@ -637,6 +673,10 @@ entries = mostly(optional_fields(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(entries, max_size=2))
+@example([problem("p", "solve", map={"linear": {"head_coeffs": [], "tail_coeff": 1e-7, "tail_ratio": 0.999999,
+                                                "offset": 1.0}}),
+          problem("p", "truncate", map={"linear": {"head_coeffs": [0.1], "tail_coeff": 1e-7,
+                                                   "tail_ratio": -0.999999, "offset": 1.0}}, n_max=8, base=3.0)])
 def test_cli_fuzzed_configs_exit_0_to_3_without_raising(problems):
     # a valid id is made unique, so that duplicate ids do not hide every later check
     problems = [dict(e, id=f"p{i}") if isinstance(e, dict) and e.get("id") == "p" else e

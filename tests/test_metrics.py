@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from seqfix import (
     BoundedSeq,
     WeightSeq,
-    base_dist,
-    dist_max,
     dist_p_geom,
     dist_p_weighted,
     dist_sup_geom,
@@ -71,22 +69,6 @@ def test_validate_p_weights():
     assert not validate_p_weights(WeightSeq((), 1.0))  # not summable
     assert validate_p_weights(WeightSeq((3.0,), 0.99))
     assert not validate_p_weights(WeightSeq((0.0,), 0.5))
-
-
-def test_base_dist():
-    assert base_dist(3.0, 3.0) == 0.0
-    assert base_dist(0.0, 1.0) == 1.0
-    assert base_dist(-2.0, 5.0) == 7.0
-
-
-def test_dist_max():
-    assert dist_max((1.0, 2.0), (1.0, 2.0)) == 0.0
-    assert dist_max((0.0, 0.0), (3.0, -4.0)) == 4.0
-    assert dist_max((2.0,), (5.0,)) == base_dist(2.0, 5.0)
-    with pytest.raises(ValueError):
-        dist_max((1.0,), (1.0, 2.0))
-    with pytest.raises(ValueError):
-        dist_max((), ())
 
 
 def test_dist_sup_weighted_values():
@@ -255,23 +237,23 @@ def test_large_exponent_approaches_plain_sup():
 
 
 def sup_weighted_loop(x, y, w):
-    """The weighted sup distance as it read every coordinate through at() and base_dist()."""
+    """The weighted sup distance as it read every coordinate through at()."""
     m = max(len(x.prefix), len(y.prefix), len(w.head))
-    best = w.at(m) * base_dist(x.tail, y.tail)
+    best = w.at(m) * abs(x.tail - y.tail)
     for n in range(m):
-        best = max(best, w.at(n) * base_dist(x.at(n), y.at(n)))
+        best = max(best, w.at(n) * abs(x.at(n) - y.at(n)))
     return best
 
 
 def p_weighted_loop(x, y, p, w):
-    """The weighted power distance as it read every coordinate through at() and base_dist().
+    """The weighted power distance as it read every coordinate through at().
 
     One rule is newer than that loop: an overflowing difference gives inf, where
     the loop computed (inf / inf)**p = nan.
     """
     m = max(len(x.prefix), len(y.prefix), len(w.head))
-    d_tail = base_dist(x.tail, y.tail)
-    scaled = [w.at(n) ** (1.0 / p) * base_dist(x.at(n), y.at(n)) for n in range(m)]
+    d_tail = abs(x.tail - y.tail)
+    scaled = [w.at(n) ** (1.0 / p) * abs(x.at(n) - y.at(n)) for n in range(m)]
     tail_anchor = w.at(m) ** (1.0 / p) * d_tail
     top = max(scaled + [tail_anchor])
     if top == 0.0:

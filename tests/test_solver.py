@@ -30,7 +30,7 @@ from seqfix import (
     truncate,
     truncation_study,
 )
-from seqfix.solver import _smallest_k
+from seqfix.solver import _STEP_BUDGET, _smallest_k
 
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
 RECUR_CERT = SupCertificate(0.8, RECUR.lip_sup(0.8))  # lip = 8/9
@@ -549,3 +549,15 @@ def test_certified_solve_is_sound_on_random_linear_maps(f, x0, tol):
         scale = max(scale, abs(step.value))
         slack = 4 * math.ulp(scale) / (1.0 - cert.step_factor())
         assert step.bound >= abs(step.value - t) - slack, step
+
+
+def test_a_plan_over_the_step_budget_is_refused_before_iterating():
+    f = LinearSeqMap((), 1e-7, 0.999999, 1.0)
+    cert = find_sup_certificate(f)
+    with pytest.raises(ValueError, match=f"^the a priori bound plans 30818188 steps, more than the step budget "
+                                         f"{_STEP_BUDGET}$") as caught:
+        solve_fixed_point(f, ZERO, cert, 1e-6)
+    assert not isinstance(caught.value, BoundViolationError)
+    with pytest.raises(ValueError, match="plans 449091424346160737 steps"):
+        _smallest_k(PCertificate(1.0, 0.5, 0.4999999999999999), 1.0, 1e-6)
+    assert _STEP_BUDGET == 10**6

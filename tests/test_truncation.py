@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import seqfix.solver
 from seqfix import (
     BoundedSeq,
+    BoundViolationError,
     FiniteArityMap,
     LinearSeqMap,
     SeqMap,
@@ -251,62 +252,86 @@ def test_window_of_the_wrong_length_is_a_value_error():
         presic_iterates(g, (1.0, 2.0, 3.0), 1)
 
 
-def values_read(f, cert, base, n_max, tol):
-    """``truncation_study``'s report and how many iterates it reads at each arity, 1 .. n_max."""
-    counts = []
-    lifted_iterates = seqfix.solver._lifted_iterates
+def counted_study(runs, f, cert, base, n_max, tol):
+    """``truncation_study``'s report; appends to ``runs`` each diagonal solve's evaluations and cap.
 
-    def counting(g, x0):
-        values, lifted = lifted_iterates(g, x0)
-        i = len(counts)
-        counts.append(0)
+    The first run is the reference; the others are arities 1 .. n_max. The
+    cap is the a priori plan of the run's constant, held to the step budget.
+    A run that raises is appended too.
+    """
+    solve = seqfix.solver._diagonal_fixed_point
 
-        def tally():
-            for v in values:
-                counts[i] += 1
-                yield v
+    def counting(d, t, c, tol):
+        calls = 0
 
-        return tally(), lifted
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return d(x)
+
+        plan = seqfix.solver._plan_length(c, c, abs(d(t) - t), tol)
+        try:
+            return solve(counted, t, c, tol)
+        finally:
+            runs.append((calls, min(plan, seqfix.solver._STEP_BUDGET)))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seqfix.solver, "_lifted_iterates", counting)
-        report = truncation_study(f, cert, base, n_max, tol)
-    return report, counts[1:]  # counts[0] is the reference solve
+        mp.setattr(seqfix.solver, "_diagonal_fixed_point", counting)
+        return truncation_study(f, cert, base, n_max, tol)
 
 
-def test_readme_truncations_plan_with_the_maps_certificate():
-    # the map's q = 5/6 beats each truncation's own q = (1/2)**(1/n) from n = 3 on
-    f = LinearSeqMap((1.0 / 3.0,), 1.0 / 6.0, 0.5, 1.0)
-    _, reads = values_read(f, find_sup_certificate(f), 0.0, 20, 1e-6)
-    assert reads == [16, 51] + [99] * 18
-    assert sum(reads) == 1849
+README_MAP = LinearSeqMap((1.0 / 3.0,), 1.0 / 6.0, 0.5, 1.0)
 
 
-@st.composite
-def hinted_embedded(draw):
-    """An affine rule of arity 1-6 with sum |c| <= 0.9, embedded with a hint between sum |c| and 0.95."""
-    m = draw(st.integers(min_value=1, max_value=6))
-    raw = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=m, max_size=m))
-    mass = draw(st.floats(min_value=0.0, max_value=0.9))
-    total = sum(abs(c) for c in raw)
-    coeffs = [c / total * mass if total > 0.0 else 0.0 for c in raw]
-    hint = draw(st.floats(min_value=mass, max_value=0.95))
-    return embed_finite(replace(affine(coeffs, draw(st.floats(min_value=-2.0, max_value=2.0))), lipschitz_hint=hint))
+def test_readme_truncation_study_counts_its_diagonal_evaluations():
+    runs = []
+    counted_study(runs, README_MAP, find_sup_certificate(README_MAP), 0.0, 20, 1e-6)
+    evaluations = [calls for calls, _ in runs]
+    assert evaluations == [57, 16, 25, 32, 37, 40, 41, 42] + [43] * 13
+    assert sum(evaluations[1:]) == 792
+    assert all(calls <= cap for calls, cap in runs)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(st.builds(rescaled, linear_maps(max_head=4), st.floats(min_value=0.2, max_value=0.9)),
-                 hinted_embedded()),
-       st.floats(min_value=-2.0, max_value=2.0), st.integers(min_value=1, max_value=8))
-def test_truncations_plan_no_more_steps_than_their_own_certificate(f, base, n_max):
-    tol = 1e-6
+def truncated_fixed_point(f, n, base):
+    """The fixed point of ``t -> f(t, ..., t, base, base, ...)``, t in the first n coordinates."""
+    return (f.offset + base * f.tail_sum_from(n)) / (1.0 - sum(f.coeff_at(i) for i in range(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(linear_maps(max_head=4), st.floats(min_value=0.2, max_value=0.9), st.floats(min_value=-2.0, max_value=2.0),
+       st.integers(min_value=1, max_value=8), st.sampled_from([1e-3, 1e-6, 1e-9]))
+@example(LinearSeqMap((0.5,), -0.25, -0.9, 1.0), 0.9, -2.0, 8, 1e-9)
+def test_truncation_study_is_within_its_tolerances_of_the_closed_forms(f, abs_sum, base, n_max, tol):
+    f = rescaled(f, abs_sum)
     cert = find_sup_certificate(f)
-    report, reads = values_read(f, cert, base, n_max, tol)
-    assert len(reads) == n_max
-    for row, k in zip(report.rows, reads):
-        fn = truncate(f, row.n, base)
-        assert fn.lipschitz_hint is not None and fn.lipschitz_hint < 1.0  # both map families hint every truncation
-        own = find_sup_certificate(embed_finite(fn))
-        if own is not None:  # the plan before the map's certificate was consulted
-            assert k <= seqfix.solver._smallest_k(own, abs(fn(*(base,) * row.n) - base), tol / 10.0)
+    assert cert is not None
+    runs = []
+    report = counted_study(runs, f, cert, base, n_max, tol)
+    assert abs(report.reference - f.fixed_point()) <= tol / 1000.0
+    assert [row.n for row in report.rows] == list(range(1, n_max + 1))
+    for row in report.rows:
+        assert abs(row.value - truncated_fixed_point(f, row.n, base)) <= tol / 10.0
         assert row.error <= row.bound + tol
+    assert len(runs) == n_max + 1
+    assert all(calls <= cap for calls, cap in runs)
+
+
+@pytest.mark.parametrize("f", [README_MAP, LinearSeqMap((), 1e-7, 0.999999, 1.0)])
+def test_truncation_study_below_float_resolution_stops_at_once(f):
+    # the second map's certificate plans more steps than the budget; the roundoff exit comes long before
+    runs = []
+    with pytest.raises(ValueError, match="below float resolution") as caught:
+        counted_study(runs, f, find_sup_certificate(f), 0.0, 20, 1e-300)
+    assert not isinstance(caught.value, BoundViolationError)
+    assert len(runs) == 1 and 0 < runs[0][0] <= 200
+
+
+def test_truncation_study_stops_early_under_an_over_budget_plan():
+    # lip is 0.999999 but the diagonal contracts by 0.1: the a posteriori stop comes long before the cap
+    f = LinearSeqMap((), 1e-7, 0.999999, 1.0)
+    cert = find_sup_certificate(f)
+    runs = []
+    report = counted_study(runs, f, cert, 0.0, 3, 1e-4)
+    assert runs[0][1] == seqfix.solver._STEP_BUDGET
+    assert abs(report.reference - f.fixed_point()) <= 1e-7
+    assert runs[0][0] < 20
