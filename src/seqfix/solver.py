@@ -6,15 +6,17 @@ that the lift contracts, either through the q-weighted sup distance
 (``lip < 1``) or through the (p, q) power distance
 (``lip < (1 - q)**(1/p)``). Either way the error of the k-th iterate is
 bounded a priori by the first-step displacement times a geometric factor,
-which is what lets :func:`solve_fixed_point` pick its iteration count
-before iterating and certify the result.
+which caps the iteration count of :func:`solve_fixed_point` before it
+iterates. The diagonal's contraction bounds the error a posteriori by the
+residual |f(t, t, ...) - t|, which stops the solve at the first certified
+iterate.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -156,7 +158,9 @@ def generalized_iterates(
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     values, lifted = _lifted_iterates(f, x0)
     d1 = cert.gap(lifted, x0) if cert is not None else None
-    return _trace(f, islice(values, k_max), d1, cert)
+    steps = tuple(TraceStep(k, v, None if cert is None else cert.a_priori_bound(k, d1), abs(f.diagonal(v) - v))
+                  for k, v in enumerate(islice(values, k_max), 1))
+    return IterationTrace(steps, d1)
 
 
 def _lifted_iterates(f: SeqMap, x0: BoundedSeq) -> tuple[Iterator[float], BoundedSeq]:
@@ -168,13 +172,6 @@ def _lifted_iterates(f: SeqMap, x0: BoundedSeq) -> tuple[Iterator[float], Bounde
     values = f.iterates(x0)
     v1 = next(values)
     return chain((v1,), values), x0.prepend(v1)
-
-
-def _trace(f: SeqMap, values: Iterable[float], d1: float | None, cert: ContractionCertificate | None) -> IterationTrace:
-    """The trace of the iterates ``values``, which start at v_1, with residuals and bounds."""
-    steps = tuple(TraceStep(k, v, None if cert is None else cert.a_priori_bound(k, d1), abs(f.diagonal(v) - v))
-                  for k, v in enumerate(values, 1))
-    return IterationTrace(steps, d1)
 
 
 #: bisection steps on [0, 1]: the floats just below 1 are 2**-53 apart, so 53 halvings can reach 1 - 2**-53
@@ -314,26 +311,47 @@ def _plan_length(lip: float, sf: float, d1: float, tol: float) -> int:
 _ROUNDOFF_ULPS = 4
 
 
+def _roundoff(residual: float, t: float, dt: float, tol: float, room: float) -> float:
+    """δ, the roundoff of one evaluation ``dt = d(t)``: :data:`_ROUNDOFF_ULPS` ulps of the larger of |t| and |dt|.
+
+    An a posteriori stop at ``tol`` passes when its error numerator plus δ
+    is at most ``room``, ``tol·(1 - c)``. When the residual |dt - t| is
+    within δ and δ alone leaves no room, no later step can pass either:
+    this raises ``ValueError`` at once, since ``tol`` is below float
+    resolution and more steps only repeat roundoff.
+    """
+    roundoff = _ROUNDOFF_ULPS * math.ulp(max(abs(t), abs(dt)))
+    if residual <= roundoff and roundoff > room:
+        raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
+                         f"the residual {residual:.3e} is within roundoff {roundoff:.3e}")
+    return roundoff
+
+
 def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: float) -> float:
     """Iterate ``t <- d(t)`` from ``t`` until it is within ``tol`` of the fixed point of ``d``.
 
-    ``c < 1`` is a Lipschitz constant of ``d``. With δ, :data:`_ROUNDOFF_ULPS`
-    ulps of the larger of t_{k-1} and t_k, for the roundoff of one
-    evaluation, the a posteriori bound is
+    ``c < 1`` is a Lipschitz constant of ``d``. With δ from :func:`_roundoff`
+    for the evaluation t_k = d(t_{k-1}), the a posteriori bound is
     ``|t_k - t*| <= (c·|t_k - t_{k-1}| + δ) / (1 - c)``, and the loop stops
     at the first k where it is at most ``tol``. δ is read only where it can
     decide: when ``c·|t_k - t_{k-1}|`` alone passes, or when the step did
-    not shrink, as in exact arithmetic it would. A step within δ raises
-    ``ValueError`` at once if δ alone leaves no room for the stop or the
-    step stopped shrinking: ``tol`` is below float resolution, and more
-    steps only repeat roundoff.
+    not shrink, as in exact arithmetic it would. There a step within δ
+    raises ``ValueError`` if δ alone leaves no room for the stop. A step
+    that stops shrinking while δ leaves room does not raise: steps a few
+    ulps long can round to the same length and then shrink again.
 
     The loop is capped by the a priori plan
     ``c**k / (1 - c) · |t_1 - t_0| <= tol``, by which the stop must have
-    come, and by :data:`_STEP_BUDGET`. At the cap it raises ``ValueError``
-    when the plan is over budget or only δ blocks the stop, and
-    :class:`BoundViolationError` otherwise: the steps shrink too slowly for
-    ``c``.
+    come in exact arithmetic, and by :data:`_STEP_BUDGET`. At the cap it
+    raises ``ValueError`` when the plan is over budget. Otherwise, with
+    s = |t_k - t_{k-1}|, ``|d(t_{k-1}) - t*| <= c·|t_{k-1} - t*|`` puts t*
+    in [t_k - c·s/(1 + c), t_k + c·s/(1 - c)] for a step up (mirrored for
+    a step down), and the loop returns the midpoint when
+    ``(c·s/(1 + c) + δ) / (1 - c) <= tol`` bounds its error. That holds
+    when the plan is met up to roundoff, so a stop that δ blocks at the cap
+    needs no step past the plan. When it fails, only δ blocking
+    ``c·s <= tol·(1 - c)`` raises ``ValueError``, and anything else
+    :class:`BoundViolationError`: the steps shrink too slowly for ``c``.
     """
     room = tol * (1.0 - c)
     prev, t = t, d(t)
@@ -343,21 +361,18 @@ def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: 
     while True:
         step = abs(t - prev)
         if c * step <= room or step >= last:
-            roundoff = _ROUNDOFF_ULPS * math.ulp(max(abs(prev), abs(t)))
-            if c * step + roundoff <= room:
+            if c * step + _roundoff(step, prev, t, tol, room) <= room:
                 return t
-            if step <= roundoff and (roundoff > room or step >= last):
-                raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
-                                 f"the step {step:.3e} is within roundoff {roundoff:.3e}")
         if k == cap:
             break
         prev, t, last = t, d(t), step
         k += 1
     if plan > cap:
         raise _over_budget(plan)
+    if c * step / (1.0 + c) + _roundoff(step, prev, t, tol, room) <= room:
+        return t + math.copysign(c * c * step / (1.0 - c * c), t - prev)
     if c * step <= room:
-        raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
-                         f"roundoff {roundoff:.3e} blocks the stop")
+        raise ValueError(f"tolerance {tol:.3e} is below float resolution: roundoff blocks the stop")
     raise BoundViolationError(f"step {step:.3e} after the planned {plan} steps exceeds the certified "
                               f"{room / c:.3e} for the diagonal constant {c:.6g}")
 
@@ -379,33 +394,42 @@ def solve_fixed_point(
 ) -> FixedPointSolution:
     """Iterate to within ``tol`` of the unique diagonal fixed point.
 
-    Solves the a priori bound for the smallest sufficient iteration count,
-    runs exactly that many lifted steps, and double-checks the terminal
-    residual |f(t, t, ...) - t| against what the certificate permits;
-    a violation means the certificate was invalid for ``f`` (or a bug) and
-    raises :class:`BoundViolationError`. The bounds hold in exact
-    arithmetic, so a residual that exceeds the allowance but is within
-    :data:`_ROUNDOFF_ULPS` ulps of ``max(|t|, |f(t, t, ...)|)`` is roundoff:
-    it raises ``ValueError``, because ``tol`` is below float resolution.
+    With c = ``cert.diagonal_lip()``, every iterate v_k satisfies
+    ``|v_k - t*| <= |f(v_k, v_k, ...) - v_k| / (1 - c)``. The solve stops
+    at the first k where that residual plus the roundoff δ of
+    :func:`_roundoff` is at most ``tol·(1 - c)``, before it lifts again, so
+    ``k_used`` lifted steps run in all. It raises ``ValueError`` there at
+    once when the residual is within δ and δ alone leaves no room: ``tol``
+    is below float resolution.
+
+    The smallest count whose a priori bound is at most ``tol`` caps the
+    run, and a plan over :data:`_STEP_BUDGET` is refused before any step.
+    A run that reaches the cap double-checks its terminal residual against
+    what the certificate permits, ``tol·(1 + c)/(1 - c)``; a violation
+    means the certificate was invalid for ``f`` (or a bug) and raises
+    :class:`BoundViolationError`.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     values, lifted = _lifted_iterates(f, x0)
     d1 = cert.gap(lifted, x0)
-    k = _smallest_k(cert, d1, tol)
-    trace = _trace(f, islice(values, k), d1, cert)
-    last = trace.steps[-1]
+    plan = _smallest_k(cert, d1, tol)
     c = cert.diagonal_lip()
-    allowance = tol * (1.0 + c) / (1.0 - c)
-    if last.residual > allowance:
-        scale = max(abs(last.value), abs(f.diagonal(last.value)))
-        if last.residual <= _ROUNDOFF_ULPS * math.ulp(scale):
-            raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
-                             f"residual {last.residual:.3e} is roundoff")
-        raise BoundViolationError(
-            f"terminal residual {last.residual:.3e} exceeds certified allowance {allowance:.3e}"
-        )
-    return FixedPointSolution(last.value, k, trace)
+    room = tol * (1.0 - c)
+    steps = []
+    for k, v in enumerate(islice(values, plan), 1):
+        dv = f.diagonal(v)
+        residual = abs(dv - v)
+        steps.append(TraceStep(k, v, cert.a_priori_bound(k, d1), residual))
+        if residual + _roundoff(residual, v, dv, tol, room) <= room:
+            break
+    else:
+        allowance = tol * (1.0 + c) / (1.0 - c)
+        if residual > allowance:
+            raise BoundViolationError(
+                f"terminal residual {residual:.3e} exceeds certified allowance {allowance:.3e}"
+            )
+    return FixedPointSolution(v, k, IterationTrace(tuple(steps), d1))
 
 
 @dataclass(frozen=True)

@@ -432,9 +432,9 @@ def test_deterministic_output(tmp_path, capsys):
 
 
 def test_solve_below_float_resolution_exits_2(tmp_path):
-    # at 1e-17 the terminal residual is roundoff; at 5e-324 no step count can be planned
+    # at 1e-15 and 1e-17 the residual falls within roundoff with no room left; at 5e-324 no step count can be planned
     env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
-    for i, tol in enumerate((1e-17, 5e-324)):
+    for i, tol in enumerate((1e-15, 1e-17, 5e-324)):
         config = write_config(tmp_path, [problem("tiny-tol", "solve", tolerance=tol)])
         done = subprocess.run(
             [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / f"out{i}")],

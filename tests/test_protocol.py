@@ -28,6 +28,7 @@ from seqfix import (
     sup_certificate_from_p,
     truncate,
 )
+from seqfix.solver import _smallest_k
 
 ZERO = BoundedSeq.constant(0.0)
 
@@ -76,14 +77,15 @@ def test_certificate_sits_at_the_crossing(f):
 
 
 def test_crossing_plans_fewer_steps():
+    # the slow map's step factor 0.98664 is the spectral radius of v = 0.49 v' + 0.49 v'' + 1
     slow = LinearSeqMap((0.49, 0.49), offset=1.0)
-    sol = solve_fixed_point(slow, ZERO, find_sup_certificate(slow), 1e-9)
-    assert sol.k_used == 1862  # step factor 0.98664, the spectral radius of v = 0.49 v' + 0.49 v'' + 1
-    assert abs(sol.value - 50.0) <= 1e-9
     readme = LinearSeqMap((1 / 3,), 1 / 6, 0.5, 1.0)
-    sol = solve_fixed_point(readme, ZERO, find_sup_certificate(readme), 1e-6)
-    assert sol.k_used == 86
-    assert abs(sol.value - 3.0) <= 1e-6
+    for f, tol, plan, t in ((slow, 1e-9, 1862, 50.0), (readme, 1e-6, 86, 3.0)):
+        cert = find_sup_certificate(f)
+        sol = solve_fixed_point(f, ZERO, cert, tol)
+        assert _smallest_k(cert, sol.trace.initial_gap, tol) == plan
+        assert sol.k_used <= plan
+        assert abs(sol.value - t) <= tol
 
 
 def test_sup_certificate_from_p_sits_at_the_crossing():

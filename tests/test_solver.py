@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,7 +31,7 @@ from seqfix import (
     truncate,
     truncation_study,
 )
-from seqfix.solver import _STEP_BUDGET, _smallest_k
+from seqfix.solver import _ROUNDOFF_ULPS, _STEP_BUDGET, _smallest_k
 
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
 RECUR_CERT = SupCertificate(0.8, RECUR.lip_sup(0.8))  # lip = 8/9
@@ -247,8 +248,11 @@ def test_sup_certificate_from_p():
 def test_solve_fixed_point_recursion_map():
     sol = solve_fixed_point(RECUR, ZERO, RECUR_CERT, 1e-6)
     assert abs(sol.value - 3.0) <= 1e-6
-    assert sol.k_used == 136  # smallest k with 9*(8/9)^k <= 1e-6
-    assert RECUR_CERT.a_priori_bound(sol.k_used, sol.trace.initial_gap) <= 1e-6
+    assert _smallest_k(RECUR_CERT, sol.trace.initial_gap, 1e-6) == 136  # smallest k with 9*(8/9)^k <= 1e-6
+    assert RECUR_CERT.a_priori_bound(136, sol.trace.initial_gap) <= 1e-6
+    # the residual stop comes first: |f(v, v, ...) - v| / (1 - 8/9) is the sharper bound
+    assert sol.k_used == 87
+    assert sol.trace.steps[-1].residual <= 1e-6 * (1.0 - 8.0 / 9.0)
 
 
 def test_solve_fixed_point_constant_map():
@@ -408,11 +412,13 @@ def test_reduce_general_weights():
 
 
 def test_tolerance_below_float_resolution_is_not_a_bound_violation():
-    # the terminal residual 4.4e-16 is one ulp at 3, above the allowance of 1.7e-16
+    # at 1e-15 and 1e-17 the stop needs room for 4 ulps at 3, 1.8e-15, and tol * (1 - c) is smaller;
+    # at 1e-15 the planned iterate, 2.9999999999999987, is 1.3e-15 from 3
     cert = find_sup_certificate(RECUR)
-    with pytest.raises(ValueError, match="below float resolution") as caught:
-        solve_fixed_point(RECUR, ZERO, cert, 1e-17)
-    assert not isinstance(caught.value, BoundViolationError)
+    for tol in (1e-15, 1e-17):
+        with pytest.raises(ValueError, match="below float resolution: the residual .* is within roundoff") as caught:
+            solve_fixed_point(RECUR, ZERO, cert, tol)
+        assert not isinstance(caught.value, BoundViolationError)
     for tol in (1e-300, 5e-324):  # at 5e-324, tol / (first a priori bound) underflows to 0.0
         with pytest.raises(ValueError, match="below float resolution") as caught:
             solve_fixed_point(RECUR, ZERO, cert, tol)
@@ -549,6 +555,34 @@ def test_certified_solve_is_sound_on_random_linear_maps(f, x0, tol):
         scale = max(scale, abs(step.value))
         slack = 4 * math.ulp(scale) / (1.0 - cert.step_factor())
         assert step.bound >= abs(step.value - t) - slack, step
+
+
+long_starts = st.builds(BoundedSeq, st.lists(st.floats(min_value=-2.0, max_value=2.0), max_size=8).map(tuple),
+                        st.floats(min_value=-2.0, max_value=2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(certifiable_maps, long_starts, st.sampled_from([1e-3, 1e-6, 1e-9]))
+def test_solve_stops_at_the_first_certified_residual(f, x0, tol):
+    cert = find_sup_certificate(f)
+    lifts = []
+
+    def counting_lift(g, x):
+        lifts.append(x)
+        return lift_step(g, x)
+
+    with mock.patch("seqfix.maps.lift_step", counting_lift):
+        sol = solve_fixed_point(f, x0, cert, tol)
+    assert len(lifts) == sol.k_used
+    assert sol.k_used <= _smallest_k(cert, sol.trace.initial_gap, tol)
+    t = f.fixed_point()
+    scale = max(abs(t), *map(abs, x0.values()), *(abs(step.value) for step in sol.trace.steps))
+    assert abs(sol.value - t) <= tol + 4 * math.ulp(scale) / (1.0 - cert.step_factor())
+    # no earlier iterate already met the stop: residual + 4 ulps of max(|v|, |f(v, v, ...)|) <= tol * (1 - c)
+    room = tol * (1.0 - cert.diagonal_lip())
+    for step in sol.trace.steps[:-1]:
+        roundoff = _ROUNDOFF_ULPS * math.ulp(max(abs(step.value), abs(f.diagonal(step.value))))
+        assert step.residual + roundoff > room, step
 
 
 def test_a_plan_over_the_step_budget_is_refused_before_iterating():

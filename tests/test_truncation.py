@@ -301,6 +301,11 @@ def truncated_fixed_point(f, n, base):
 @given(linear_maps(max_head=4), st.floats(min_value=0.2, max_value=0.9), st.floats(min_value=-2.0, max_value=2.0),
        st.integers(min_value=1, max_value=8), st.sampled_from([1e-3, 1e-6, 1e-9]))
 @example(LinearSeqMap((0.5,), -0.25, -0.9, 1.0), 0.9, -2.0, 8, 1e-9)
+# the reference at tol 1e-12 reaches its plan with δ blocking the stop, and with a step just past room/c by roundoff
+@example(LinearSeqMap((), 0.0, 0.0, 2.0), 0.875, 0.0, 1, 1e-9)
+@example(LinearSeqMap((), 0.0, 0.0, 2.421875), 0.8930907517203119, 0.0, 1, 1e-9)
+# the reference's steps stay 4 ulps long for two steps while δ leaves room, then shrink
+@example(LinearSeqMap((), 1.0, 0.875, 1.0), 0.890625, 0.0, 1, 1e-9)
 def test_truncation_study_is_within_its_tolerances_of_the_closed_forms(f, abs_sum, base, n_max, tol):
     f = rescaled(f, abs_sum)
     cert = find_sup_certificate(f)
