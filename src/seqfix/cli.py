@@ -34,7 +34,7 @@ from .solver import (
     truncation_study,
 )
 
-_PROBLEM_KEYS = ("id", "map", "initial", "tolerance", "mode", "k_max", "n_max", "base", "q0")
+_PROBLEM_KEYS = ("id", "map", "initial", "tolerance", "mode")
 _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]+$")
 
 EXIT_OK = 0
@@ -78,11 +78,11 @@ class ProblemConfig:
             mode = raw["mode"]
         except KeyError as e:
             raise ConfigError(f"problem missing required field {e.args[0]!r}") from None
-        if not isinstance(pid, str) or not _ID_PATTERN.match(pid):
+        if not isinstance(pid, str) or not _ID_PATTERN.fullmatch(pid):
             raise ConfigError(f"problem id must match {_ID_PATTERN.pattern}, got {pid!r}")
         if mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r} for problem {pid!r}")
-        _check_keys(raw, _PROBLEM_KEYS, f"problem {pid!r}")
+        _check_keys(raw, _PROBLEM_KEYS + _MODES[mode][1] + _MODES[mode][2], f"problem {pid!r}")
         tolerance = _number(tolerance, "tolerance", pid)
         if not 0.0 < tolerance < math.inf:
             raise ConfigError(f"tolerance must be positive and finite for problem {pid!r}")
@@ -114,7 +114,7 @@ class ProblemConfig:
             "tolerance": self.tolerance,
             "mode": self.mode,
         }
-        for key in ("k_max", "n_max", "base", "q0"):
+        for key in _MODES[self.mode][1] + _MODES[self.mode][2]:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
@@ -157,7 +157,7 @@ def _integer(value: object, what: str, pid: str) -> int | None:
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
-    """Reject every key of ``obj`` that is not in ``allowed``, so that a misspelled key is no silent default."""
+    """Reject every key of ``obj`` that is not in ``allowed``, so that no misspelled or unread key passes silently."""
     unknown = [key for key in obj if key not in allowed]
     if unknown:
         raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {where}; "
@@ -229,7 +229,7 @@ def parse_config(text: str) -> list[ProblemConfig]:
     """Parse and validate a JSON config document."""
     try:
         raw = json.loads(text)
-    except ValueError as e:  # a JSONDecodeError, or an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as e:  # a JSONDecodeError, a too long integer literal, or too deep nesting
         raise ConfigError(f"invalid JSON: {e}") from None
     if not isinstance(raw, dict) or "problems" not in raw:
         raise ConfigError("config must be an object with a 'problems' list")
@@ -333,20 +333,20 @@ def _compare(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
     return f"x_final={gen.steps[-1].value:.12g} y_final={sec[-1].value:.12g}", rows
 
 
-#: mode -> (its CSV header, the fields it requires, its runner (problem, map, seed) -> (summary, CSV rows))
+#: mode -> (CSV header, required fields, optional fields, runner (problem, map, seed) -> (summary, CSV rows))
 _MODES = {
-    "certify": ("family,q,p,lip,empirical_lower_bound", (), _certify),
-    "solve": (_TRACE_HEADER, (), _solve),
-    "trace": (_TRACE_HEADER, ("k_max",), _trace),
-    "secelean": ("k,y_k,bound", ("k_max",), _secelean),
-    "truncate": ("n,x_n,error,bound", ("n_max", "base"), _truncate),
-    "compare": ("k,x_k,y_k", ("k_max",), _compare),
+    "certify": ("family,q,p,lip,empirical_lower_bound", (), ("q0",), _certify),
+    "solve": (_TRACE_HEADER, (), (), _solve),
+    "trace": (_TRACE_HEADER, ("k_max",), (), _trace),
+    "secelean": ("k,y_k,bound", ("k_max",), (), _secelean),
+    "truncate": ("n,x_n,error,bound", ("n_max", "base"), (), _truncate),
+    "compare": ("k,x_k,y_k", ("k_max",), (), _compare),
 }
 
 
 def _run_problem(p: ProblemConfig, out_dir: Path, seed: int) -> str:
     """Run one problem, write its table and return its summary line; a failure raises and writes no table."""
-    header, _, runner = _MODES[p.mode]
+    header, _, _, runner = _MODES[p.mode]
     summary, rows = runner(p, p.build_map(), seed)
     _write_lines(out_dir / f"{p.id}.csv", [header] + rows)
     return f"{p.id} {p.mode} {summary}"
@@ -356,7 +356,7 @@ def run(config_path: str, out_dir: str, seed: int = 0) -> int:
     """Execute every problem in the config; returns the process exit status."""
     try:
         text = Path(config_path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read config {config_path}: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -176,7 +176,28 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert run(bad_mode, str(tmp_path / "o3")) == EXIT_CONFIG
     bad_value = write_config(tmp_path, [problem("x", "solve", tolerance="tiny")], name="badvalue.json")
     assert run(bad_value, str(tmp_path / "o4")) == EXIT_CONFIG
+    # "$" also matches before a final newline, which would name a table "a\n.csv"
+    newline_id = write_config(tmp_path, [problem("a\n", "solve")], name="newline.json")
+    assert run(newline_id, str(tmp_path / "o5")) == EXIT_CONFIG
+    assert not (tmp_path / "o5").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text, message", [
+    (b"\xff\xfe{", "cannot read config "),  # not UTF-8
+    (b"[" * 100_000 + b"]" * 100_000, "invalid JSON: "),  # nested beyond the recursion limit
+], ids=["not-utf-8", "deep-nesting"])
+def test_unreadable_config_exits_1_without_traceback(tmp_path, text, message):
+    config = tmp_path / "config.json"
+    config.write_bytes(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfix.cli", "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and message in done.stderr, done.stderr
 
 
 @pytest.mark.parametrize("entry", [
@@ -223,6 +244,25 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys, key, document):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: unknown key {key!r} in ")
+
+
+#: each mode field with a valid value; a mode accepts only its own fields in _MODES
+MODE_FIELDS = {"k_max": 3, "n_max": 2, "base": 7.0, "q0": 0.5}
+UNREAD_FIELDS = [(mode, field, value) for mode, (_, required, optional, _) in _MODES.items()
+                 for field in MODE_FIELDS if field not in required + optional
+                 for value in (MODE_FIELDS[field], None)]
+
+
+@pytest.mark.parametrize("mode, field, value", UNREAD_FIELDS)
+def test_fields_a_mode_does_not_read_exit_1(tmp_path, capsys, mode, field, value):
+    _, required, optional, _ = _MODES[mode]
+    entry = problem("s", mode, **{key: MODE_FIELDS[key] for key in required + optional}, **{field: value})
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, [entry]), str(out)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown key {field!r} in problem 's'; allowed: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("entry", [
@@ -413,7 +453,7 @@ def test_parse_config_validation():
 
 
 def test_problem_config_round_trip_dict():
-    entry = problem("solve-recursion", "solve", q0=0.5)
+    entry = problem("certify-recursion", "certify", q0=0.5)
     parsed = ProblemConfig.from_dict(entry)
     assert ProblemConfig.from_dict(parsed.to_dict()) == parsed
 
@@ -573,12 +613,13 @@ def test_golden_truncation_study_is_within_its_tolerances_of_the_closed_forms():
 
 def test_readme_and_golden_config_cover_every_mode():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    for mode, (header, required, _) in _MODES.items():
+    for mode, (header, required, optional, _) in _MODES.items():
         row = re.search(rf"^\| `{mode}` .*$", readme, re.M)
         assert row is not None, mode
         assert f"`{header}`" in row.group(0), mode
-        for field in required:
-            assert f"`{field}`" in row.group(0), (mode, field)
+        fields = row.group(0).split("|")[2]
+        assert re.findall(r"`(\w+)`", fields) == list(required + optional), mode
+        assert re.findall(r"optional `(\w+)`", fields) == list(optional), mode
     golden = json.loads((GOLDEN / "config.json").read_text())
     assert {p["mode"] for p in golden["problems"]} == set(_MODES)
 
@@ -657,18 +698,30 @@ map_specs = mostly(
                      {}, [], "linear", None]),
 )
 counts = st.integers(min_value=1, max_value=200)
-entries = mostly(optional_fields(
-    id=mostly(st.just("p"), st.sampled_from(["bad id", "", 3, None])),
-    map=map_specs,
-    initial=mostly(optional_fields(prefix=mostly(st.lists(mostly(points), max_size=4)), tail=mostly(points))),
-    tolerance=mostly(st.sampled_from([1e-9, 1e-6, 1e-3, 0.5, 1e308]), st.sampled_from(JUNK + [0.0, -1e-6])),
-    mode=mostly(st.sampled_from(["certify", "solve", "trace", "secelean", "truncate", "compare"]),
-                st.sampled_from(["bogus", 1, None])),
-    k_max=mostly(counts, st.sampled_from(JUNK + [0, -1, 2.5, 3.0])),
-    n_max=mostly(st.integers(min_value=1, max_value=8), st.sampled_from(JUNK + [0, -1, 2.5, 3.0])),
-    base=mostly(points),
-    q0=mostly(st.floats(min_value=1e-300, max_value=0.99)),
-))
+field_values = {
+    "k_max": mostly(counts, st.sampled_from(JUNK + [0, -1, 2.5, 3.0])),
+    "n_max": mostly(st.integers(min_value=1, max_value=8), st.sampled_from(JUNK + [0, -1, 2.5, 3.0])),
+    "base": mostly(points),
+    "q0": mostly(st.floats(min_value=1e-300, max_value=0.99)),
+}
+
+
+def mode_entries(mode):
+    """An entry with the fields ``mode`` reads; one draw in ten adds a field that it does not read."""
+    own = _MODES[mode][1] + _MODES[mode][2] if mode in _MODES else ()
+    foreign = st.sampled_from([key for key in field_values if key not in own]).flatmap(
+        lambda key: field_values[key].map(lambda value: {key: value}))
+    return st.builds(lambda entry, extra: {**entry, **extra}, optional_fields(
+        id=mostly(st.just("p"), st.sampled_from(["bad id", "", 3, None])),
+        map=map_specs,
+        initial=mostly(optional_fields(prefix=mostly(st.lists(mostly(points), max_size=4)), tail=mostly(points))),
+        tolerance=mostly(st.sampled_from([1e-9, 1e-6, 1e-3, 0.5, 1e308]), st.sampled_from(JUNK + [0.0, -1e-6])),
+        mode=st.just(mode),
+        **{key: field_values[key] for key in own},
+    ), mostly(st.just({}), foreign))
+
+
+entries = mostly(mostly(st.sampled_from(sorted(_MODES)), st.sampled_from(["bogus", 1, None])).flatmap(mode_entries))
 
 
 @settings(max_examples=300, deadline=None)
