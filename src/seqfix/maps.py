@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
+from .metrics import _geom_distance, ensure_exponent, ensure_weight
 from .sequences import BoundedSeq, ensure_finite
 
 
@@ -70,9 +70,9 @@ class SeqMap(ABC):
         """A Lipschitz constant for the (p, q) power distance; ``inf`` when unknown or divergent."""
         return math.inf
 
-    def difference(self, a: BoundedSeq, b: BoundedSeq) -> float:
-        """|f(a) - f(b)|, the numerator of every empirical Lipschitz ratio."""
-        return abs(self.eval(a) - self.eval(b))
+    def differences(self, pairs: Sequence[tuple[BoundedSeq, BoundedSeq]]) -> list[float]:
+        """|f(a) - f(b)| for each pair (a, b), in order: the numerators of the empirical Lipschitz ratios."""
+        return [abs(self.eval(a) - self.eval(b)) for a, b in pairs]
 
     def witnesses(self, q: float, p: float | None) -> Iterable[BoundedSeq]:
         """Inputs x whose ratio against the zero sequence nears the constant at (p, q).
@@ -175,20 +175,27 @@ class LinearSeqMap(SeqMap):
         """``offset + t * sum_n b_n``, what :meth:`eval` computes on the constant sequence, bit for bit."""
         return self.offset + ensure_finite(t, "tail") * self.tail_sum_from(0)
 
-    def difference(self, a: BoundedSeq, b: BoundedSeq) -> float:
-        """|f(a) - f(b)| through the offset-free form ``sum_n b_n (a_n - b_n)``.
+    def differences(self, pairs: Sequence[tuple[BoundedSeq, BoundedSeq]]) -> list[float]:
+        """Each |f(a) - f(b)| through the offset-free form ``sum_n b_n (a_n - b_n)``.
 
         Subtracting two evaluations cancels the offset and loses the tiny
         coordinate signal of deep witness pairs; the explicit difference form
         is the same number algebraically but keeps full relative precision.
+        The coefficients and tail sums the pairs read are built once per
+        call, and each pair is summed left to right, then its tail added.
         """
-        m = max(len(a.prefix), len(b.prefix))
-        head, n_head, tail_coeff, ratio = self.head_coeffs, len(self.head_coeffs), self.tail_coeff, self.tail_ratio
-        acc = 0.0
-        for n, (u, v) in enumerate(zip(a.head(m), b.head(m))):
-            acc += (head[n] if n < n_head else tail_coeff * ratio ** (n - n_head)) * (u - v)  # b_n, as in coeff_at
-        acc += (a.tail - b.tail) * self.tail_sum_from(m)
-        return abs(acc)
+        spans = [max(len(a.prefix), len(b.prefix)) for a, b in pairs]
+        n_head, ratio = len(self.head_coeffs), self.tail_ratio
+        coeffs = self.head_coeffs + tuple(  # b_n, as in coeff_at
+            self.tail_coeff * ratio ** (n - n_head) for n in range(n_head, max(spans, default=0)))
+        tails = {m: self.tail_sum_from(m) for m in set(spans)}
+        out = []
+        for (a, b), m in zip(pairs, spans):
+            acc = 0.0
+            for c, u, v in zip(coeffs, a.head(m), b.head(m)):
+                acc += c * (u - v)
+            out.append(abs(acc + (a.tail - b.tail) * tails[m]))
+        return out
 
     def witnesses(self, q: float, p: float | None) -> Iterator[BoundedSeq]:
         """Near-extremal inputs realizing the analytic constants on truncations.
@@ -480,28 +487,30 @@ def _lip_lower_bounds(f: SeqMap, families: Sequence[tuple[float, float | None]],
 
     d is the q-weighted sup distance where p is None and the (p, q) power
     distance otherwise. The ``trials`` pairs are drawn from ``seed`` in the
-    map's domain, [-1, 1] when it has none, and each pair's
-    :meth:`SeqMap.difference` is taken once, in draw order, for every
-    family. Each family then pairs its own :meth:`SeqMap.witnesses` with the
-    zero sequence, so its maximum runs over the same ratios, in the same
-    order, as a call for that family alone.
+    map's domain, [-1, 1] when it has none. Each family pairs its own
+    :meth:`SeqMap.witnesses` with the zero sequence, and one
+    :meth:`SeqMap.differences` call takes every pair's difference once, the
+    drawn pairs first. Each family's maximum then runs over the same ratios,
+    in the same order, as a call for that family alone.
     """
     rng = random.Random(seed)
     lo, hi = f.domain if f.domain is not None else (-1.0, 1.0)
     pairs = [(_random_seq(rng, lo, hi), _random_seq(rng, lo, hi)) for _ in range(trials)]
-    scored = [(a, b, f.difference(a, b)) for a, b in pairs]
     zero = BoundedSeq.constant(0.0)
+    witnessed = [[(w, zero) for w in f.witnesses(q, p)] for q, p in families]
+    everything = pairs + [pair for own in witnessed for pair in own]
+    diffs = f.differences(everything)
+    length = max((len(x.prefix) for pair in everything for x in pair), default=0)
     best = []
-    for q, p in families:
+    start = trials
+    for (q, p), own in zip(families, witnessed):
+        dist = _geom_distance(q, p, length)
         top = 0.0
-        for a, b, diff in scored:
-            d = dist_sup_geom(a, b, q) if p is None else dist_p_geom(a, b, p, q)
+        for (a, b), diff in zip(pairs + own, diffs[:trials] + diffs[start:start + len(own)]):
+            d = dist(a, b)
             if d > 0.0:
                 top = max(top, diff / d)
-        for witness in f.witnesses(q, p):
-            d = dist_sup_geom(witness, zero, q) if p is None else dist_p_geom(witness, zero, p, q)
-            if d > 0.0:
-                top = max(top, f.difference(witness, zero) / d)
+        start += len(own)
         best.append(top)
     return best
 
@@ -527,4 +536,5 @@ def empirical_lip_lower_bound(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _geom_distance(q, p, 0)  # checks q, then p, before the map's witnesses take them
     return _lip_lower_bounds(f, [(q, p)], trials, seed)[0]

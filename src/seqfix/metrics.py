@@ -11,6 +11,7 @@ what the contraction certificates are built on.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .sequences import BoundedSeq, ensure_finite
@@ -89,7 +90,8 @@ def ensure_exponent(p: float, what: str = "p") -> float:
 def _overflows(x: BoundedSeq, y: BoundedSeq, m: int) -> bool:
     """True when some difference ``|x_n - y_n|``, n <= m, overflows to ``inf``.
 
-    The two loops below ask this only when their last weight is 0.0. That is
+    The two loops below ask this only when the weight of index m is 0.0 (the
+    power loop reads its root, which is 0.0 exactly where the weight is). That is
     the one case where ``weight * |x_n - y_n|`` can be ``0.0 * inf = nan``,
     which their comparisons would skip: a weight is 0.0 only when it
     underflowed past the explicit head, and from there the weights do not
@@ -98,15 +100,15 @@ def _overflows(x: BoundedSeq, y: BoundedSeq, m: int) -> bool:
     return any(abs(a - b) == math.inf for a, b in zip(x.head(m + 1), y.head(m + 1)))
 
 
-def _sup(x: BoundedSeq, y: BoundedSeq, weights: list[float]) -> float:
-    """sup_n weights[n] |x_n - y_n|, where the last weight is that of the constant tail.
+def _sup(x: BoundedSeq, y: BoundedSeq, weights: list[float], m: int) -> float:
+    """sup_n weights[n] |x_n - y_n| over n <= m, where weights[m] is the weight of the constant tail.
 
+    ``m`` is at least the longer prefix; weights past ``m`` are not read.
     The entries of a ``BoundedSeq`` are finite floats already, so they are
     read without validating them again. A coordinate difference that
     overflows makes the distance ``inf``, never ``nan``, also where its
     weight underflowed to 0.0.
     """
-    m = len(weights) - 1
     if weights[m] == 0.0 and _overflows(x, y, m):
         return math.inf
     best = weights[m] * abs(x.tail - y.tail)
@@ -117,19 +119,19 @@ def _sup(x: BoundedSeq, y: BoundedSeq, weights: list[float]) -> float:
     return best
 
 
-def _power(x: BoundedSeq, y: BoundedSeq, p: float, weights: list[float], ratio: float) -> float:
-    """(sum_n weights[n] |x_n - y_n|^p)^(1/p), the last weight continued by ``ratio`` over the tail.
+def _power(x: BoundedSeq, y: BoundedSeq, p: float, roots: list[float], m: int, ratio: float) -> float:
+    """(sum_n a_n |x_n - y_n|^p)^(1/p) from the rooted weights ``roots[n] = a_n ** (1/p)``, n <= m.
 
-    The largest rescaled term is factored out before exponentiation so the
-    evaluation stays stable for very large ``p``. A coordinate difference
-    that overflows makes the distance ``inf``, never ``nan``.
+    roots[m] is that of the constant tail, whose weights continue by
+    ``ratio``; roots past ``m`` are not read. The largest rescaled term is
+    factored out before exponentiation so the evaluation stays stable for
+    very large ``p``. A coordinate difference that overflows makes the
+    distance ``inf``, never ``nan``: a root is 0.0 exactly where its weight is.
     """
-    m = len(weights) - 1
-    if weights[m] == 0.0 and _overflows(x, y, m):
+    if roots[m] == 0.0 and _overflows(x, y, m):
         return math.inf
-    inv_p = 1.0 / p
-    scaled = [a_n ** inv_p * abs(a - b) for a_n, a, b in zip(weights, x.head(m), y.head(m))]
-    tail_anchor = weights[m] ** inv_p * abs(x.tail - y.tail)
+    scaled = [r_n * abs(a - b) for r_n, a, b in zip(roots, x.head(m), y.head(m))]
+    tail_anchor = roots[m] * abs(x.tail - y.tail)
     top = max([tail_anchor] + scaled)
     if top == 0.0:
         return 0.0
@@ -150,7 +152,8 @@ def dist_sup_weighted(x: BoundedSeq, y: BoundedSeq, w: WeightSeq) -> float:
     """
     if not validate_sup_weights(w):
         raise ValueError("weights do not define a sup-type metric (need positive head, ratio in (0, 1])")
-    return _sup(x, y, [w.at(n) for n in range(max(len(x.prefix), len(y.prefix), len(w.head)) + 1)])
+    m = max(len(x.prefix), len(y.prefix), len(w.head))
+    return _sup(x, y, [w.at(n) for n in range(m + 1)], m)
 
 
 def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> float:
@@ -161,7 +164,26 @@ def dist_p_weighted(x: BoundedSeq, y: BoundedSeq, p: float, w: WeightSeq) -> flo
     p = ensure_exponent(p, "exponent")
     if not validate_p_weights(w):
         raise ValueError("weights do not define a p-type metric (need positive head, ratio in (0, 1))")
-    return _power(x, y, p, [w.at(n) for n in range(max(len(x.prefix), len(y.prefix), len(w.head)) + 1)], w.ratio)
+    m = max(len(x.prefix), len(y.prefix), len(w.head))
+    inv_p = 1.0 / p
+    return _power(x, y, p, [w.at(n) ** inv_p for n in range(m + 1)], m, w.ratio)
+
+
+def _geom_distance(q: float, p: float | None, length: int) -> Callable[[BoundedSeq, BoundedSeq], float]:
+    """:func:`dist_sup_geom` (``p`` None) or :func:`dist_p_geom` at one (q, p), bit for bit.
+
+    Checks q, then p, as those do, and builds the weights ``q**n`` for
+    n <= ``length`` once, rooted once for the power family. The distance it
+    returns takes sequences whose prefixes are at most ``length`` long.
+    """
+    if p is None:
+        q = ensure_weight(q, closed=True)
+        weights = [q**n for n in range(length + 1)]
+        return lambda x, y: _sup(x, y, weights, max(len(x.prefix), len(y.prefix)))
+    q, p = ensure_weight(q), ensure_exponent(p, "exponent")
+    inv_p = 1.0 / p
+    roots = [(q**n) ** inv_p for n in range(length + 1)]
+    return lambda x, y: _power(x, y, p, roots, max(len(x.prefix), len(y.prefix)), q)
 
 
 def dist_sup_geom(x: BoundedSeq, y: BoundedSeq, q: float) -> float:
@@ -169,8 +191,7 @@ def dist_sup_geom(x: BoundedSeq, y: BoundedSeq, q: float) -> float:
 
     Equal bit for bit to :func:`dist_sup_weighted` with ``WeightSeq.geometric(q)``.
     """
-    q = ensure_weight(q, closed=True)
-    return _sup(x, y, [q**n for n in range(max(len(x.prefix), len(y.prefix)) + 1)])
+    return _geom_distance(q, None, max(len(x.prefix), len(y.prefix)))(x, y)
 
 
 def dist_p_geom(x: BoundedSeq, y: BoundedSeq, p: float, q: float) -> float:
@@ -179,5 +200,5 @@ def dist_p_geom(x: BoundedSeq, y: BoundedSeq, p: float, q: float) -> float:
     Equal bit for bit to :func:`dist_p_weighted` with ``WeightSeq.geometric(q)``;
     q is checked before p.
     """
-    q, p = ensure_weight(q), ensure_exponent(p, "exponent")
-    return _power(x, y, p, [q**n for n in range(max(len(x.prefix), len(y.prefix)) + 1)], q)
+    q, p = ensure_weight(q), ensure_exponent(p, "exponent")  # a p of None would pick the sup family
+    return _geom_distance(q, p, max(len(x.prefix), len(y.prefix)))(x, y)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import seqfix
 from seqfix import (
+    BoundedSeq,
     BoundViolationError,
     IterationTrace,
     LinearSeqMap,
@@ -38,6 +40,7 @@ from seqfix.cli import (
     parse_config,
     run,
 )
+from seqfix.maps import _random_seq
 
 RECUR_MAP = {
     "linear": {
@@ -539,29 +542,34 @@ def test_certify_rows_are_never_below_their_empirical_bound(tmp_path, capsys):
 
 
 class CountingLinearMap(LinearSeqMap):
-    """A linear map that counts its difference calls."""
+    """A linear map that records the pairs of each differences call."""
 
-    calls = 0
+    calls: list = []
 
-    def difference(self, a, b):
-        CountingLinearMap.calls += 1
-        return super().difference(a, b)
+    def differences(self, pairs):
+        CountingLinearMap.calls.append(list(pairs))
+        return super().differences(pairs)
 
 
 def test_certify_takes_one_difference_per_drawn_pair(tmp_path, capsys, monkeypatch):
     keys, normalize, _ = _MAP_KINDS["linear"]
     monkeypatch.setitem(_MAP_KINDS, "linear", (keys, normalize, lambda params: CountingLinearMap(
         tuple(params["head_coeffs"]), params["tail_coeff"], params["tail_ratio"], params["offset"])))
+    monkeypatch.setattr(CountingLinearMap, "calls", [])
     f = CountingLinearMap((1.0 / 3.0,), 1.0 / 6.0, 0.5, 1.0)
     cert, pc = find_sup_certificate(f), find_p_certificate(f, 0.5)
-    witnesses = len(list(f.witnesses(cert.q, None))) + len(list(f.witnesses(pc.q, pc.p)))
-    assert witnesses == 1 + 65  # one sup witness, and a unit vector per depth for p = 1
-    CountingLinearMap.calls = 0
+    witnesses = list(f.witnesses(cert.q, None)) + list(f.witnesses(pc.q, pc.p))
+    assert len(witnesses) == 1 + 65  # one sup witness, and a unit vector per depth for p = 1
     assert run(write_config(tmp_path, [problem("recur", "certify", q0=0.5)]), str(tmp_path / "out")) == EXIT_OK
-    assert CountingLinearMap.calls == 200 + witnesses
-    CountingLinearMap.calls = 0
+    (pairs,) = CountingLinearMap.calls  # one call per certify, drawn from the default seed 0
+    rng = random.Random(0)
+    drawn = [(_random_seq(rng, -1.0, 1.0), _random_seq(rng, -1.0, 1.0)) for _ in range(200)]
+    zero = BoundedSeq.constant(0.0)
+    assert pairs == drawn + [(w, zero) for w in witnesses]  # each drawn pair and each witness once
+    CountingLinearMap.calls.clear()
     empirical_lip_lower_bound(f, pc.q, pc.p, trials=50, seed=3)
-    assert CountingLinearMap.calls == 50 + 65
+    (pairs,) = CountingLinearMap.calls
+    assert len(pairs) == 50 + 65
     capsys.readouterr()
 
 

@@ -1,7 +1,10 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,7 @@ from seqfix import (
     find_sup_certificate,
     truncate,
 )
-from seqfix.maps import _random_seq
+from seqfix.maps import _lip_lower_bounds, _random_seq
 
 # the recurring worked example: b_n = 1/(3 * 2^n), offset 1
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
@@ -429,13 +432,17 @@ def test_empirical_witnesses_are_sharp():
 
 
 def map_gap_loop(f, a, b):
-    """LinearSeqMap.difference as it read every coordinate through at()."""
+    """LinearSeqMap.differences of one pair as it read every coordinate through at()."""
     m = max(len(a.prefix), len(b.prefix))
     acc = 0.0
     for n in range(m):
         acc += f.coeff_at(n) * (a.at(n) - b.at(n))
     acc += (a.tail - b.tail) * f.tail_sum_from(m)
     return abs(acc)
+
+
+def assert_gaps_bit_exact(f, pairs):
+    assert [d.hex() for d in f.differences(pairs)] == [map_gap_loop(f, a, b).hex() for a, b in pairs]
 
 
 def test_map_gap_is_bit_exact():
@@ -445,16 +452,16 @@ def test_map_gap_is_bit_exact():
         a, b = random_seq(rng, span=rng.choice((1e-300, 2.0, 1e300))), random_seq(rng)
         if rng.random() < 0.3:
             b = BoundedSeq(b.prefix, rng.choice((0.0, -0.0)))
-        assert f.difference(a, b).hex() == map_gap_loop(f, a, b).hex()
-        assert f.difference(b, a).hex() == map_gap_loop(f, b, a).hex()
-    # indices deep in the coefficient tail, down to where tail_ratio**(n - N) underflows
+        assert_gaps_bit_exact(f, [(a, b), (b, a)])
+    # indices deep in the coefficient tail, down to where tail_ratio**(n - N) underflows;
+    # one call also takes a short pair, which reads the same tables
     for _ in range(100):
         f = random_linear(rng, ratio_span=0.99)
         depth = rng.choice((10, 100, 1100))
         a = BoundedSeq(tuple(rng.uniform(-2.0, 2.0) for _ in range(depth)), rng.uniform(-2.0, 2.0))
         b = random_seq(rng)
-        assert f.difference(a, b).hex() == map_gap_loop(f, a, b).hex()
-        assert f.difference(b, a).hex() == map_gap_loop(f, b, a).hex()
+        assert_gaps_bit_exact(f, [(a, b), (b, a), (b, BoundedSeq.constant(0.0))])
+    assert LinearSeqMap((0.5,)).differences([]) == []
 
 
 def random_seq_through_uniform(rng, lo, hi):
@@ -501,6 +508,43 @@ PRESIC = embed_finite(FiniteArityMap(2, lambda a, b: 0.49 * a + 0.49 * b + 1.0, 
 def test_empirical_bound_is_pinned(f, q, p, seed, expected):
     # the values of an earlier, slower evaluation of the same draws and distances
     assert repr(empirical_lip_lower_bound(f, q, p, trials=200, seed=seed)) == expected
+
+
+# Bounds in hex, recorded from the per-pair evaluation that the per-call weight and
+# coefficient tables replaced: 24 maps drawn as the certify-sweep benchmark draws them
+# at its seed 0, spread over head lengths 1-64, with the CLI's certify families at
+# q0 = 0.5; the README map; SupHalfMap; and a map scored at q = 1e-60, whose weights
+# q**n underflow from index 6 on. Each at seeds 0, 1 and 12345.
+PINNED_BOUNDS = json.loads((Path(__file__).parent / "data" / "empirical_bounds_pinned.json").read_text())
+
+
+def pinned_map(spec):
+    ((kind, params),) = spec.items()
+    if kind == "sup_half":
+        return SupHalfMap()
+    head, *rest = params
+    return LinearSeqMap(tuple(map(float.fromhex, head)), *map(float.fromhex, rest))
+
+
+@pytest.mark.parametrize("case", PINNED_BOUNDS, ids=[f"map{i}" for i in range(len(PINNED_BOUNDS))])
+def test_empirical_bounds_keep_their_bits(case):
+    f = pinned_map(case["map"])
+    families = [(float.fromhex(q), None if p is None else float.fromhex(p)) for q, p in case["families"]]
+    for seed, bounds in case["bounds"].items():
+        # the CLI's certify scores every family on one draw; the public bound scores one
+        assert [v.hex() for v in _lip_lower_bounds(f, families, 200, int(seed))] == bounds["together"]
+        each = [empirical_lip_lower_bound(f, q, p, trials=200, seed=int(seed)) for q, p in families]
+        assert [v.hex() for v in each] == bounds["each"]
+
+
+@pytest.mark.parametrize("q, p, message", [
+    (1e308, None, r"^q must lie in \(0, 1\], got 1e\+308$"),  # the sup witness's q**k would overflow
+    (-0.5, 3.0, r"^q must lie in \(0, 1\), got -0\.5$"),  # the p = 3 witness would take a complex root
+    (0.5, 0.5, r"^exponent must be >= 1, got 0\.5$"),
+])
+def test_empirical_bound_checks_q_and_p_before_the_witnesses(q, p, message):
+    with pytest.raises(ValueError, match=message):
+        empirical_lip_lower_bound(RECUR, q, p, trials=3)
 
 
 def lip_p_before_underflow_guard(f, p, q):
@@ -617,4 +661,27 @@ def test_linear_constants_match_exact_rationals(map_and_weight):
     for p, got in ((None, f.lip_sup(q)), (1.0, f.lip_p(1.0, q)), (2.0, f.lip_p(2.0, q) ** 2)):
         want = exact_lip(f, q, p)
         assert abs(Fraction(got) - want) <= Fraction(1e-12) * want, (p, got, float(want))
+
+
+def mp_lip_p(f, p, q):
+    """lip_p at 50 digits: (sum_n |b_n|**c / q**(n/(p-1)))**(1/c) with c = p/(p-1), the tail summed in closed form."""
+    with mpmath.workdps(50):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        conj, scale = p / (p - 1), 1 / (p - 1)
+        total = mpmath.fsum(mpmath.mpf(abs(b)) ** conj / q ** (k * scale) for k, b in enumerate(f.head_coeffs) if b)
+        if f.tail_coeff:
+            n, r = len(f.head_coeffs), mpmath.mpf(abs(f.tail_ratio))
+            total += mpmath.mpf(abs(f.tail_coeff)) ** conj / q ** (n * scale) / (1 - r**conj / q**scale)
+        return total ** (1 / conj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_maps_and_weights())
+@example((TIED, 0.25))
+@example((RECUR, 0.5))
+def test_power_constants_match_50_digit_values(map_and_weight):
+    f, q = map_and_weight
+    for p in (1.5, 3.0, 7.5):
+        got, want = f.lip_p(p, q), mp_lip_p(f, p, q)
+        assert abs(mpmath.mpf(got) - want) <= mpmath.mpf(1e-12) * want, (p, got, want)
 

@@ -15,7 +15,7 @@ from seqfix import (
     validate_p_weights,
     validate_sup_weights,
 )
-from seqfix.metrics import ensure_weight
+from seqfix.metrics import _geom_distance, ensure_weight
 
 # Quantized coordinates keep all products comfortably above underflow so the
 # metric identities can be asserted without tolerance games.
@@ -380,3 +380,32 @@ def test_power_distance_checks_q_before_p(p, q, message):
         dist_p_geom(x, y, p, q)
     with pytest.raises(ValueError, match=message):
         p_geom_through_weights(x, y, p, q)
+    with pytest.raises(ValueError, match=message):
+        _geom_distance(q, p, 0)
+
+
+FAR, NEAR = BoundedSeq((1e308, 0.0, 1e308), -1e308), BoundedSeq((-1e308,), 1e308)
+
+
+@settings(max_examples=500)
+@given(wide_seqs, wide_seqs, st.one_of(st.none(), st.sampled_from([1.0, 2.0, 7.5, 2.0**20]), exponents),
+       st.one_of(st.just(1.0), geometric_qs), st.integers(min_value=0, max_value=3))
+@example(FAR, NEAR, None, 1.0, 0)
+@example(FAR, NEAR, None, 1e-200, 2)
+@example(FAR, NEAR, 7.5, 1e-200, 0)
+@example(FAR, NEAR, 2.0**20, 0.5, 1)
+@example(*HEAD_OVER, 2.0, 1e-200, 0)
+@example(DEEP, BoundedSeq.constant(-1e308), None, 0.5, 0)
+@example(BoundedSeq((1.0, 2.0, 3.0), 1.0), BoundedSeq.constant(-1.0), 1.0, 1e-200, 3)
+def test_geom_distance_equals_the_public_distances_bit_for_bit(x, y, p, q, spare):
+    # the table may run past the longer prefix; invalid q and p raise the same message, q first
+    length = max(len(x.prefix), len(y.prefix)) + spare
+    got = outcome(lambda x, y: _geom_distance(q, p, length)(x, y), x, y)
+    assert got == (outcome(dist_sup_geom, x, y, q) if p is None else outcome(dist_p_geom, x, y, p, q))
+    assert got != "nan"
+
+
+@pytest.mark.parametrize("p, q", [(None, 1.0), (None, 0.5), (None, 1e-200)]
+                         + [(p, q) for p in (1.0, 2.0, 7.5, 2.0**20) for q in (0.5, 1e-200)])
+def test_geom_distance_of_overflowing_entries_is_inf(p, q):
+    assert _geom_distance(q, p, 3)(FAR, NEAR) == math.inf

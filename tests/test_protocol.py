@@ -1,4 +1,4 @@
-"""The SeqMap protocol: lip_sup and lip_p, difference and witnesses.
+"""The SeqMap protocol: lip_sup and lip_p, differences and witnesses.
 
 The solver certifies any map through the first two methods: a sup
 certificate sits at the crossing weight q where ``lip_sup(q)`` falls to q,
@@ -194,7 +194,7 @@ class SpikeWithWitness(Spike):
 
 def test_difference_defaults_to_subtracting_evaluations():
     a, b = BoundedSeq((0.0, 0.0, 0.0, -0.75), 0.0), BoundedSeq.constant(0.25)
-    assert Spike().difference(a, b) == abs(Spike().eval(a) - Spike().eval(b)) == 0.5
+    assert Spike().differences([(a, b), (b, a)]) == [abs(Spike().eval(a) - Spike().eval(b))] * 2 == [0.5, 0.5]
 
 
 def test_witnesses_default_to_none_and_feed_the_empirical_bound():
