@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .maps import FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, _lip_lower_bounds, embed_finite
@@ -53,12 +53,15 @@ def _fmt(v: float | None) -> str:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """One problem: a map, a starting sequence, a tolerance, and a mode."""
+    """One problem as its normalized config entry: a map, a starting sequence, a tolerance, and a mode.
+
+    ``initial`` is ``{"prefix": [...], "tail": t}``; the mode's fields that
+    the entry leaves out are None.
+    """
 
     id: str
-    map_spec: dict
-    initial_prefix: tuple[float, ...]
-    initial_tail: float
+    map: dict
+    initial: dict
     tolerance: float
     mode: str
     k_max: int | None = None
@@ -71,11 +74,7 @@ class ProblemConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"problem entry must be an object, got {type(raw).__name__}")
         try:
-            pid = raw["id"]
-            map_spec = raw["map"]
-            initial = raw["initial"]
-            tolerance = raw["tolerance"]
-            mode = raw["mode"]
+            pid, map_spec, initial, tolerance, mode = (raw[key] for key in _PROBLEM_KEYS)
         except KeyError as e:
             raise ConfigError(f"problem missing required field {e.args[0]!r}") from None
         if not isinstance(pid, str) or not _ID_PATTERN.fullmatch(pid):
@@ -90,13 +89,13 @@ class ProblemConfig:
         if not isinstance(initial, dict):
             raise ConfigError(f"initial must be an object for problem {pid!r}")
         _check_keys(initial, ("prefix", "tail"), f"initial of problem {pid!r}")
-        prefix = tuple(_numbers(initial.get("prefix", []), "initial prefix", pid))
-        tail = _number(initial.get("tail", 0.0), "initial tail", pid)
+        initial = {"prefix": _numbers(initial.get("prefix", []), "initial prefix", pid),
+                   "tail": _number(initial.get("tail", 0.0), "initial tail", pid)}
         k_max = _integer(raw.get("k_max"), "k_max", pid)
         n_max = _integer(raw.get("n_max"), "n_max", pid)
         base = None if raw.get("base") is None else _number(raw["base"], "base", pid)
         q0 = None if raw.get("q0") is None else _number(raw["q0"], "q0", pid)
-        config = cls(pid, map_spec, prefix, tail, tolerance, mode, k_max=k_max, n_max=n_max, base=base, q0=q0)
+        config = cls(pid, map_spec, initial, tolerance, mode, k_max=k_max, n_max=n_max, base=base, q0=q0)
         for field in _MODES[mode][1]:  # a count must be positive, the base point any number
             value = getattr(config, field)
             if value is None or field != "base" and value < 1:
@@ -107,26 +106,14 @@ class ProblemConfig:
         return config
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "map": self.map_spec,
-            "initial": {"prefix": list(self.initial_prefix), "tail": self.initial_tail},
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-        }
-        for key in _MODES[self.mode][1] + _MODES[self.mode][2]:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        """The normalized entry: every field that is not None."""
+        return {f.name: value for f in fields(self) if (value := getattr(self, f.name)) is not None}
 
     def initial_seq(self) -> BoundedSeq:
-        return BoundedSeq(self.initial_prefix, self.initial_tail)
+        return BoundedSeq(self.initial["prefix"], self.initial["tail"])
 
     def build_map(self) -> SeqMap:
-        kind, params = next(iter(self.map_spec.items()))
-        if kind not in _MAP_KINDS:
-            raise ConfigError(f"unknown map kind {kind!r}")
+        kind, params = next(iter(self.map.items()))
         return _MAP_KINDS[kind][2](params)
 
 
@@ -165,6 +152,7 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
 
 
 def _normalize_map_spec(pid: str, spec: object) -> dict:
+    """The map entry with normalized parameters, checked by building the map from them once."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError(f"map for problem {pid!r} must be an object with exactly one kind")
     kind, params = next(iter(spec.items()))
@@ -172,25 +160,23 @@ def _normalize_map_spec(pid: str, spec: object) -> dict:
         raise ConfigError(f"map parameters for problem {pid!r} must be an object")
     if kind not in _MAP_KINDS:
         raise ConfigError(f"unknown map kind {kind!r} for problem {pid!r}")
-    keys, normalize, _ = _MAP_KINDS[kind]
+    keys, normalize, build = _MAP_KINDS[kind]
     _check_keys(params, keys, f"{kind} map of problem {pid!r}")
-    return {kind: normalize(pid, params)}
+    params = normalize(pid, params)
+    try:
+        build(params)
+    except ValueError as e:  # a parameter the map itself rejects, such as |tail_ratio| >= 1
+        raise ConfigError(f"{kind} map for problem {pid!r}: {e}") from None
+    return {kind: params}
 
 
 def _normalize_linear(pid: str, params: dict) -> dict:
-    norm = {
+    return {
         "head_coeffs": _numbers(params.get("head_coeffs", []), "head_coeffs", pid),
         "tail_coeff": _number(params.get("tail_coeff", 0.0), "tail_coeff", pid),
         "tail_ratio": _number(params.get("tail_ratio", 0.0), "tail_ratio", pid),
         "offset": _number(params.get("offset", 0.0), "offset", pid),
     }
-    if abs(norm["tail_ratio"]) >= 1.0:
-        raise ConfigError(f"linear map for problem {pid!r} needs |tail_ratio| < 1")
-    return norm
-
-
-def _build_linear(params: dict) -> LinearSeqMap:
-    return LinearSeqMap(tuple(params["head_coeffs"]), params["tail_coeff"], params["tail_ratio"], params["offset"])
 
 
 def _normalize_presic(pid: str, params: dict) -> dict:
@@ -198,8 +184,6 @@ def _normalize_presic(pid: str, params: dict) -> dict:
     if rule != "affine":
         raise ConfigError(f"unknown presic rule {rule!r} for problem {pid!r} (supported: 'affine')")
     coeffs = _numbers(params.get("coeffs", []), "coeffs", pid)
-    if not coeffs:
-        raise ConfigError(f"presic map for problem {pid!r} needs nonempty coeffs")
     arity = _integer(params.get("arity", len(coeffs)), "presic arity", pid)
     if arity != len(coeffs):
         raise ConfigError(f"presic arity must match len(coeffs) for problem {pid!r}")
@@ -219,7 +203,8 @@ def _build_presic(params: dict) -> SeqMap:
 
 #: map kind -> (its parameter keys, normalize its parameters for a problem id, build the map from them)
 _MAP_KINDS = {
-    "linear": (("head_coeffs", "tail_coeff", "tail_ratio", "offset"), _normalize_linear, _build_linear),
+    "linear": (("head_coeffs", "tail_coeff", "tail_ratio", "offset"), _normalize_linear,
+               lambda params: LinearSeqMap(**params)),
     "sup_half": ((), lambda pid, params: {}, lambda params: SupHalfMap()),
     "presic": (("rule", "arity", "coeffs", "offset"), _normalize_presic, _build_presic),
 }
@@ -265,17 +250,8 @@ def _trace_rows(trace: IterationTrace) -> list[str]:
     return [f"{s.k},{_fmt(s.value)},{_fmt(s.bound)},{_fmt(s.residual)}" for s in trace.steps]
 
 
-def emit_trace(trace: IterationTrace, path: Path | str) -> None:
-    """Write an iteration trace as CSV: header k,x_k,bound,residual.
-
-    Floats carry 17 significant digits so a reparse reproduces them exactly;
-    the bound field is empty for uncertified traces.
-    """
-    _write_lines(path, [_TRACE_HEADER] + _trace_rows(trace))
-
-
-def _write_lines(path: Path | str, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, lines: list[str]) -> None:
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _certified(f: SeqMap) -> SupCertificate:

@@ -200,11 +200,13 @@ class LinearSeqMap(SeqMap):
     def witnesses(self, q: float, p: float | None) -> Iterator[BoundedSeq]:
         """Near-extremal inputs realizing the analytic constants on truncations.
 
+        It checks q, then p, as the distance at (p, q) does.
         The sup (p None) and power (p > 1) witnesses put 0.0 at zero
         coefficients and end before the first coordinate that is not a finite
         float, because its weight q**k underflowed; a shorter witness still
         bounds the constant from below.
         """
+        _geom_distance(q, p, 0)
         if p == 1.0:
             for k in range(_WITNESS_DEPTH + 1):
                 yield BoundedSeq((0.0,) * k + (1.0,), 0.0)

@@ -35,8 +35,8 @@ from seqfix.cli import (
     ConfigError,
     ProblemConfig,
     _fmt,
+    _trace_rows,
     config_to_dict,
-    emit_trace,
     parse_config,
     run,
 )
@@ -133,15 +133,13 @@ def test_full_run(tmp_path, capsys):
     assert len(truncate_rows) == 7
 
 
-def test_emitted_floats_round_trip(tmp_path):
+def test_emitted_floats_round_trip():
     trace = IterationTrace(
         (TraceStep(1, 1.0 / 3.0, 0.123456789123456789, 2.0 / 7.0),
          TraceStep(2, -1.5e-17, None, 3.0)),
         1.0,
     )
-    path = tmp_path / "trace.csv"
-    emit_trace(trace, path)
-    rows = path.read_text().splitlines()
+    rows = [_MODES["trace"][0]] + _trace_rows(trace)  # the table a trace problem writes
     assert rows[0] == "k,x_k,bound,residual"
     assert len(rows) == 3
     k, x, bound, residual = rows[1].split(",")
@@ -221,6 +219,35 @@ def test_malformed_values_exit_1(tmp_path, capsys, entry):
     config = write_config(tmp_path, [entry])
     assert run(config, str(tmp_path / "out")) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+#: (config document, what stderr must name); each config error names its problem where it has one
+CONFIG_ERRORS = {
+    "q0-outside": ({"problems": [problem("q0-outside", "certify", q0=1.5)]}, "'q0-outside'"),
+    "unknown-kind": ({"problems": [problem("unknown-kind", "solve", map={"quadratic": {}})]}, "'unknown-kind'"),
+    "presic-arity-mismatch": ({"problems": [problem("presic-arity-mismatch", "solve", map={
+        "presic": {"rule": "affine", "coeffs": [0.25, 0.25], "arity": 3, "offset": 1.0}})]}, "'presic-arity-mismatch'"),
+    "problems-not-a-list": ({"problems": {"a": problem("a", "solve")}}, "'problems' must be a list"),
+    # the two checks that the map constructors make, LinearSeqMap's and FiniteArityMap's
+    "linear-unit-ratio": ({"problems": [problem("linear-unit-ratio", "solve", map={
+        "linear": {"head_coeffs": [0.5], "tail_coeff": 0.1, "tail_ratio": -1.0}})]},
+        "linear map for problem 'linear-unit-ratio': |tail_ratio| must be < 1"),
+    "presic-no-coeffs": ({"problems": [problem("presic-no-coeffs", "solve", map={
+        "presic": {"rule": "affine", "coeffs": [], "offset": 1.0}})]},
+        "presic map for problem 'presic-no-coeffs': arity must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("document, named", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+def test_config_errors_exit_1_naming_the_problem(tmp_path, capsys, document, named):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "out"
+    assert run(str(config), str(out)) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err, captured.err
+    assert not out.exists()
 
 
 #: (misspelled key, config document); each would otherwise run on a default

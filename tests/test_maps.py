@@ -547,6 +547,21 @@ def test_empirical_bound_checks_q_and_p_before_the_witnesses(q, p, message):
         empirical_lip_lower_bound(RECUR, q, p, trials=3)
 
 
+@pytest.mark.parametrize("q, p, message", [
+    (1e308, None, r"^q must lie in \(0, 1\], got 1e\+308$"),
+    (-0.5, 3.0, r"^q must lie in \(0, 1\), got -0\.5$"),
+    (0.5, 0.5, r"^exponent must be >= 1, got 0\.5$"),
+], ids=["sup-q-above-1", "power-q-negative", "power-p-below-1"])
+def test_linear_witnesses_check_q_and_p(q, p, message):
+    with pytest.raises(ValueError, match=message):
+        list(RECUR.witnesses(q, p))
+
+
+def test_empirical_bound_needs_a_trial():
+    with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
+        empirical_lip_lower_bound(RECUR, 0.5, trials=0)
+
+
 def lip_p_before_underflow_guard(f, p, q):
     """LinearSeqMap.lip_p as it read before q**scale underflow and a rounded tail ratio were handled.
 

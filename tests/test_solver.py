@@ -31,7 +31,7 @@ from seqfix import (
     truncate,
     truncation_study,
 )
-from seqfix.solver import _ROUNDOFF_ULPS, _STEP_BUDGET, _smallest_k
+from seqfix.solver import _ROUNDOFF_ULPS, _STEP_BUDGET, _diagonal_fixed_point, _smallest_k
 
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
 RECUR_CERT = SupCertificate(0.8, RECUR.lip_sup(0.8))  # lip = 8/9
@@ -595,3 +595,32 @@ def test_a_plan_over_the_step_budget_is_refused_before_iterating():
     with pytest.raises(ValueError, match="plans 449091424346160737 steps"):
         _smallest_k(PCertificate(1.0, 0.5, 0.4999999999999999), 1.0, 1e-6)
     assert _STEP_BUDGET == 10**6
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generalized_iterates(RECUR, ZERO, 0), r"^k_max must be >= 1, got 0$"),
+    (lambda: secelean_iterates(RECUR, ZERO, -1), r"^k_max must be >= 0, got -1$"),
+    (lambda: presic_iterates(FiniteArityMap(1, lambda a: 0.5 * a), (0.0,), -1), r"^k_max must be >= 0, got -1$"),
+    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 0, 1e-6), r"^n_max must be >= 1, got 0$"),
+    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 3, 0.0), r"^tolerance must be positive, got 0\.0$"),
+    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 3, -1e-6), r"^tolerance must be positive, got -1e-06$"),
+    (lambda: reduce_general_weights(1.0, 0.5, -0.1), r"^lip must be nonnegative, got -0\.1$"),
+], ids=["generalized-k-max", "secelean-k-max", "presic-k-max", "truncation-n-max", "truncation-zero-tol",
+        "truncation-negative-tol", "reduce-negative-lip"])
+def test_out_of_range_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_diagonal_iteration_slower_than_its_claimed_constant_is_a_bound_violation():
+    # d contracts by 0.9, not the claimed 0.1: the 7 planned steps leave a step far above tol * (1 - c) / c
+    with pytest.raises(BoundViolationError, match=r"after the planned 7 steps exceeds the certified"):
+        _diagonal_fixed_point(lambda t: 0.9 * t + 1.0, 0.0, 0.1, 1e-6)
+
+
+def test_diagonal_iteration_over_the_step_budget_raises(monkeypatch):
+    # the true constant is the claimed one, so no early stop comes before the capped plan runs out
+    monkeypatch.setattr("seqfix.solver._STEP_BUDGET", 1000)
+    over_budget = r"^the a priori bound plans \d+ steps, more than the step budget 1000$"
+    with pytest.raises(ValueError, match=over_budget):
+        _diagonal_fixed_point(lambda t: 0.9999999 * t + 1.0, 0.0, 0.9999999, 1e-6)
