@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from dataclasses import dataclass, fields
@@ -55,8 +54,8 @@ def _fmt(v: float | None) -> str:
 class ProblemConfig:
     """One problem as its normalized config entry: a map, a starting sequence, a tolerance, and a mode.
 
-    ``initial`` is ``{"prefix": [...], "tail": t}``; the mode's fields that
-    the entry leaves out are None.
+    ``initial`` is ``{"prefix": (...), "tail": t}``, lists are tuples, and
+    the mode's fields that the entry leaves out are None.
     """
 
     id: str
@@ -79,35 +78,39 @@ class ProblemConfig:
             raise ConfigError(f"problem missing required field {e.args[0]!r}") from None
         if not isinstance(pid, str) or not _ID_PATTERN.fullmatch(pid):
             raise ConfigError(f"problem id must match {_ID_PATTERN.pattern}, got {pid!r}")
-        if mode not in _MODES:
-            raise ConfigError(f"unknown mode {mode!r} for problem {pid!r}")
-        _check_keys(raw, _PROBLEM_KEYS + _MODES[mode][1] + _MODES[mode][2], f"problem {pid!r}")
-        tolerance = _number(tolerance, "tolerance", pid)
-        if not 0.0 < tolerance < math.inf:
-            raise ConfigError(f"tolerance must be positive and finite for problem {pid!r}")
-        map_spec = _normalize_map_spec(pid, map_spec)
-        if not isinstance(initial, dict):
-            raise ConfigError(f"initial must be an object for problem {pid!r}")
-        _check_keys(initial, ("prefix", "tail"), f"initial of problem {pid!r}")
-        initial = {"prefix": _numbers(initial.get("prefix", []), "initial prefix", pid),
-                   "tail": _number(initial.get("tail", 0.0), "initial tail", pid)}
-        k_max = _integer(raw.get("k_max"), "k_max", pid)
-        n_max = _integer(raw.get("n_max"), "n_max", pid)
-        base = None if raw.get("base") is None else _number(raw["base"], "base", pid)
-        q0 = None if raw.get("q0") is None else _number(raw["q0"], "q0", pid)
-        config = cls(pid, map_spec, initial, tolerance, mode, k_max=k_max, n_max=n_max, base=base, q0=q0)
-        for field in _MODES[mode][1]:  # a count must be positive, the base point any number
-            value = getattr(config, field)
-            if value is None or field != "base" and value < 1:
-                need = "a base point" if field == "base" else f"a positive {field}"
-                raise ConfigError(f"mode {mode!r} needs {need} for problem {pid!r}")
-        if q0 is not None and not 0.0 < q0 < 1.0:
-            raise ConfigError(f"q0 must lie in (0, 1) for problem {pid!r}")
+        try:
+            if not isinstance(mode, str) or mode not in _MODES:
+                raise ConfigError(f"unknown mode {mode!r}")
+            _check_keys(raw, _PROBLEM_KEYS + _MODES[mode][1] + _MODES[mode][2], "the problem")
+            tolerance = _number(tolerance, "tolerance")
+            if not tolerance > 0.0:
+                raise ConfigError("tolerance must be positive")
+            map_spec = _normalize_map_spec(map_spec)
+            if not isinstance(initial, dict):
+                raise ConfigError("initial must be an object")
+            _check_keys(initial, ("prefix", "tail"), "initial")
+            initial = {"prefix": _numbers(initial.get("prefix", []), "initial prefix"),
+                       "tail": _number(initial.get("tail", 0.0), "initial tail")}
+            k_max = _integer(raw.get("k_max"), "k_max")
+            n_max = _integer(raw.get("n_max"), "n_max")
+            base = None if raw.get("base") is None else _number(raw["base"], "base")
+            q0 = None if raw.get("q0") is None else _number(raw["q0"], "q0")
+            config = cls(pid, map_spec, initial, tolerance, mode, k_max=k_max, n_max=n_max, base=base, q0=q0)
+            for field in _MODES[mode][1]:  # a count must be positive, the base point any number
+                value = getattr(config, field)
+                if value is None or field != "base" and value < 1:
+                    need = "a base point" if field == "base" else f"a positive {field}"
+                    raise ConfigError(f"mode {mode!r} needs {need}")
+            if q0 is not None and not 0.0 < q0 < 1.0:
+                raise ConfigError("q0 must lie in (0, 1)")
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"problem {pid!r}: {e}") from None
         return config
 
     def to_dict(self) -> dict:
-        """The normalized entry: every field that is not None."""
-        return {f.name: value for f in fields(self) if (value := getattr(self, f.name)) is not None}
+        """The normalized entry: every field that is not None, in new dicts."""
+        return {f.name: value for f in fields(self) if (value := getattr(self, f.name)) is not None} | {
+            "map": {kind: dict(params) for kind, params in self.map.items()}, "initial": dict(self.initial)}
 
     def initial_seq(self) -> BoundedSeq:
         return BoundedSeq(self.initial["prefix"], self.initial["tail"])
@@ -117,29 +120,29 @@ class ProblemConfig:
         return _MAP_KINDS[kind][2](params)
 
 
-def _number(value: object, what: str, pid: str) -> float:
+def _number(value: object, what: str) -> float:
     """``value`` as a finite float; only a JSON number is one, not a string or a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number for problem {pid!r}, got {value!r}")
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         return ensure_finite(value, what)
     except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{what} is too large for problem {pid!r}") from None
+        raise ConfigError(f"{what} is too large") from None
 
 
-def _numbers(values: object, what: str, pid: str) -> list[float]:
-    """A JSON list of numbers, each checked by :func:`_number`."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{what} must be a list for problem {pid!r}, got {values!r}")
-    return [_number(v, f"{what} entry", pid) for v in values]
+def _numbers(values: object, what: str) -> tuple[float, ...]:
+    """A JSON list of numbers, or ``to_dict``'s tuple, each checked by :func:`_number`."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{what} must be a list, got {values!r}")
+    return tuple(_number(v, f"{what} entry") for v in values)
 
 
-def _integer(value: object, what: str, pid: str) -> int | None:
+def _integer(value: object, what: str) -> int | None:
     """``value`` as an int (None stays None); only an integral JSON number is one."""
     if value is None:
         return None
-    if not _number(value, what, pid).is_integer():
-        raise ConfigError(f"{what} must be an integer for problem {pid!r}, got {value!r}")
+    if not _number(value, what).is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -151,48 +154,45 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
                           f"allowed: {', '.join(allowed) or 'none'}")
 
 
-def _normalize_map_spec(pid: str, spec: object) -> dict:
+def _normalize_map_spec(spec: object) -> dict:
     """The map entry with normalized parameters, checked by building the map from them once."""
     if not isinstance(spec, dict) or len(spec) != 1:
-        raise ConfigError(f"map for problem {pid!r} must be an object with exactly one kind")
+        raise ConfigError("map must be an object with exactly one kind")
     kind, params = next(iter(spec.items()))
     if not isinstance(params, dict):
-        raise ConfigError(f"map parameters for problem {pid!r} must be an object")
+        raise ConfigError("map parameters must be an object")
     if kind not in _MAP_KINDS:
-        raise ConfigError(f"unknown map kind {kind!r} for problem {pid!r}")
+        raise ConfigError(f"unknown map kind {kind!r}")
     keys, normalize, build = _MAP_KINDS[kind]
-    _check_keys(params, keys, f"{kind} map of problem {pid!r}")
-    params = normalize(pid, params)
-    try:
-        build(params)
-    except ValueError as e:  # a parameter the map itself rejects, such as |tail_ratio| >= 1
-        raise ConfigError(f"{kind} map for problem {pid!r}: {e}") from None
+    _check_keys(params, keys, f"{kind} map")
+    params = normalize(params)
+    build(params)  # the map checks its own parameters, such as |tail_ratio| < 1
     return {kind: params}
 
 
-def _normalize_linear(pid: str, params: dict) -> dict:
+def _normalize_linear(params: dict) -> dict:
     return {
-        "head_coeffs": _numbers(params.get("head_coeffs", []), "head_coeffs", pid),
-        "tail_coeff": _number(params.get("tail_coeff", 0.0), "tail_coeff", pid),
-        "tail_ratio": _number(params.get("tail_ratio", 0.0), "tail_ratio", pid),
-        "offset": _number(params.get("offset", 0.0), "offset", pid),
+        "head_coeffs": _numbers(params.get("head_coeffs", []), "head_coeffs"),
+        "tail_coeff": _number(params.get("tail_coeff", 0.0), "tail_coeff"),
+        "tail_ratio": _number(params.get("tail_ratio", 0.0), "tail_ratio"),
+        "offset": _number(params.get("offset", 0.0), "offset"),
     }
 
 
-def _normalize_presic(pid: str, params: dict) -> dict:
+def _normalize_presic(params: dict) -> dict:
     rule = params.get("rule")
     if rule != "affine":
-        raise ConfigError(f"unknown presic rule {rule!r} for problem {pid!r} (supported: 'affine')")
-    coeffs = _numbers(params.get("coeffs", []), "coeffs", pid)
-    arity = _integer(params.get("arity", len(coeffs)), "presic arity", pid)
+        raise ConfigError(f"unknown presic rule {rule!r} (supported: 'affine')")
+    coeffs = _numbers(params.get("coeffs", []), "coeffs")
+    arity = _integer(params.get("arity", len(coeffs)), "presic arity")
     if arity != len(coeffs):
-        raise ConfigError(f"presic arity must match len(coeffs) for problem {pid!r}")
-    offset = _number(params.get("offset", 0.0), "offset", pid)
+        raise ConfigError("presic arity must match len(coeffs)")
+    offset = _number(params.get("offset", 0.0), "offset")
     return {"rule": "affine", "arity": arity, "coeffs": coeffs, "offset": offset}
 
 
 def _build_presic(params: dict) -> SeqMap:
-    coeffs = tuple(params["coeffs"])
+    coeffs = params["coeffs"]
     offset = params["offset"]
 
     def rule(*args: float) -> float:
@@ -201,11 +201,11 @@ def _build_presic(params: dict) -> SeqMap:
     return embed_finite(FiniteArityMap(len(coeffs), rule, sum(abs(c) for c in coeffs)))
 
 
-#: map kind -> (its parameter keys, normalize its parameters for a problem id, build the map from them)
+#: map kind -> (its parameter keys, normalize its parameters, build the map from them)
 _MAP_KINDS = {
     "linear": (("head_coeffs", "tail_coeff", "tail_ratio", "offset"), _normalize_linear,
                lambda params: LinearSeqMap(**params)),
-    "sup_half": ((), lambda pid, params: {}, lambda params: SupHalfMap()),
+    "sup_half": ((), lambda params: {}, lambda params: SupHalfMap()),
     "presic": (("rule", "arity", "coeffs", "offset"), _normalize_presic, _build_presic),
 }
 
@@ -222,14 +222,7 @@ def parse_config(text: str) -> list[ProblemConfig]:
     problems = raw["problems"]
     if not isinstance(problems, list):
         raise ConfigError("'problems' must be a list")
-    parsed = []
-    for entry in problems:
-        try:
-            parsed.append(ProblemConfig.from_dict(entry))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"invalid problem entry: {e}") from None
+    parsed = [ProblemConfig.from_dict(entry) for entry in problems]
     seen: set[str] = set()
     for p in parsed:
         if p.id in seen:

@@ -444,7 +444,7 @@ class EmbeddedMap(SeqMap):
         constant of the m-tuple map bounds the q-weighted sup constant this way.
         """
         hint = self.finite_map.lipschitz_hint
-        w = q ** (self.arity - 1)
+        w = ensure_weight(q, closed=True) ** (self.arity - 1)
         return math.inf if hint is None or w == 0.0 else hint / w
 
 

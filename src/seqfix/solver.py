@@ -276,6 +276,10 @@ def _over_budget(plan: int) -> ValueError:
     return ValueError(f"the a priori bound plans {plan} steps, more than the step budget {_STEP_BUDGET}")
 
 
+def _below_resolution(tol: float, why: str) -> ValueError:
+    return ValueError(f"tolerance {tol:.3e} is below float resolution: {why}")
+
+
 def _plan_length(lip: float, sf: float, d1: float, tol: float) -> int:
     """Smallest k with ``lip * sf**(k-1) / (1 - sf) * d1 <= tol``, the a priori bound of step factor ``sf < 1``.
 
@@ -297,8 +301,7 @@ def _plan_length(lip: float, sf: float, d1: float, tol: float) -> int:
                          "the start is too far from its image")
     shrink = tol / first
     if shrink == 0.0:
-        raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
-                         f"its ratio to the first a priori bound {first:.3e} underflows to 0")
+        raise _below_resolution(tol, f"its ratio to the first a priori bound {first:.3e} underflows to 0")
     k = 1 + max(0, math.ceil(math.log(shrink) / math.log(sf)))
     while bound(k) > tol:
         k += 1
@@ -322,8 +325,7 @@ def _roundoff(residual: float, t: float, dt: float, tol: float, room: float) -> 
     """
     roundoff = _ROUNDOFF_ULPS * math.ulp(max(abs(t), abs(dt)))
     if residual <= roundoff and roundoff > room:
-        raise ValueError(f"tolerance {tol:.3e} is below float resolution: "
-                         f"the residual {residual:.3e} is within roundoff {roundoff:.3e}")
+        raise _below_resolution(tol, f"the residual {residual:.3e} is within roundoff {roundoff:.3e}")
     return roundoff
 
 
@@ -350,8 +352,8 @@ def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: 
     ``(c·s/(1 + c) + δ) / (1 - c) <= tol`` bounds its error. That holds
     when the plan is met up to roundoff, so a stop that δ blocks at the cap
     needs no step past the plan. When it fails, only δ blocking
-    ``c·s <= tol·(1 - c)`` raises ``ValueError``, and anything else
-    :class:`BoundViolationError`: the steps shrink too slowly for ``c``.
+    ``c·s <= tol·(1 - c) + 2cδ/(1 - c)`` raises ``ValueError``, and anything
+    else :class:`BoundViolationError`: the steps shrink too slowly for ``c``.
     """
     room = tol * (1.0 - c)
     prev, t = t, d(t)
@@ -369,10 +371,11 @@ def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: 
         k += 1
     if plan > cap:
         raise _over_budget(plan)
-    if c * step / (1.0 + c) + _roundoff(step, prev, t, tol, room) <= room:
+    roundoff = _roundoff(step, prev, t, tol, room)
+    if c * step / (1.0 + c) + roundoff <= room:
         return t + math.copysign(c * c * step / (1.0 - c * c), t - prev)
-    if c * step <= room:
-        raise ValueError(f"tolerance {tol:.3e} is below float resolution: roundoff blocks the stop")
+    if c * step <= room + 2.0 * c * roundoff / (1.0 - c):
+        raise _below_resolution(tol, "roundoff blocks the stop")
     raise BoundViolationError(f"step {step:.3e} after the planned {plan} steps exceeds the certified "
                               f"{room / c:.3e} for the diagonal constant {c:.6g}")
 
@@ -405,9 +408,10 @@ def solve_fixed_point(
     The smallest count whose a priori bound is at most ``tol`` caps the
     run, and a plan over :data:`_STEP_BUDGET` is refused before any step.
     A run that reaches the cap double-checks its terminal residual against
-    what the certificate permits, ``tol·(1 + c)/(1 - c)``; a violation
-    means the certificate was invalid for ``f`` (or a bug) and raises
-    :class:`BoundViolationError`.
+    what the certificate permits, ``tol·(1 + c)/(1 - c)``, plus roundoff
+    ``(1 + c)·δ/(1 - sf) + δ`` for the step factor sf; a violation, NaN
+    included, means the certificate was invalid for ``f`` (or a bug) and
+    raises :class:`BoundViolationError`, and only roundoff ``ValueError``.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -421,14 +425,18 @@ def solve_fixed_point(
         dv = f.diagonal(v)
         residual = abs(dv - v)
         steps.append(TraceStep(k, v, cert.a_priori_bound(k, d1), residual))
-        if residual + _roundoff(residual, v, dv, tol, room) <= room:
+        roundoff = _roundoff(residual, v, dv, tol, room)
+        if residual + roundoff <= room:
             break
     else:
         allowance = tol * (1.0 + c) / (1.0 - c)
-        if residual > allowance:
+        slack = (1.0 + c) * roundoff / (1.0 - cert.step_factor()) + roundoff
+        if not residual <= allowance + slack:
             raise BoundViolationError(
-                f"terminal residual {residual:.3e} exceeds certified allowance {allowance:.3e}"
+                f"terminal residual {residual:.3e} exceeds certified allowance {allowance + slack:.3e}"
             )
+        if residual > allowance:
+            raise _below_resolution(tol, "roundoff blocks the stop")
     return FixedPointSolution(v, k, IterationTrace(tuple(steps), d1))
 
 

@@ -201,40 +201,65 @@ def test_unreadable_config_exits_1_without_traceback(tmp_path, text, message):
     assert done.stderr.startswith("error: ") and message in done.stderr, done.stderr
 
 
-@pytest.mark.parametrize("entry", [
-    problem("nan-prefix", "solve", initial={"prefix": [0.5, float("nan")], "tail": 0.0}),
-    problem("inf-tail", "solve", initial={"prefix": [], "tail": float("inf")}),
-    problem("nan-coeff", "solve", map={"linear": {"head_coeffs": [float("nan")]}}),
-    problem("fractional-k-max", "trace", k_max=1.7),
-    problem("fractional-n-max", "truncate", n_max=2.5, base=0.0),
-    problem("bool-k-max", "trace", k_max=True),
-    problem("inf-k-max", "trace", k_max=float("inf")),
-    problem("inf-tolerance", "solve", tolerance=float("inf")),
-    problem("fractional-presic-arity", "solve",
-            map={"presic": {"rule": "affine", "coeffs": [0.25, 0.25], "arity": 2.7, "offset": 1.0}}),
-    problem("bool-presic-arity", "solve",
-            map={"presic": {"rule": "affine", "coeffs": [0.5], "arity": True, "offset": 1.0}}),
-], ids=lambda entry: entry["id"])
+#: (entry, the error after "problem '<id>': "): non-finite, fractional and boolean values where numbers go
+MALFORMED_VALUES = [
+    (problem("nan-prefix", "solve", initial={"prefix": [0.5, float("nan")], "tail": 0.0}),
+     "initial prefix entry must be finite, got nan"),
+    (problem("inf-tail", "solve", initial={"prefix": [], "tail": float("inf")}), "initial tail must be finite, got inf"),
+    (problem("nan-coeff", "solve", map={"linear": {"head_coeffs": [float("nan")]}}),
+     "head_coeffs entry must be finite, got nan"),
+    (problem("fractional-k-max", "trace", k_max=1.7), "k_max must be an integer, got 1.7"),
+    (problem("fractional-n-max", "truncate", n_max=2.5, base=0.0), "n_max must be an integer, got 2.5"),
+    (problem("bool-k-max", "trace", k_max=True), "k_max must be a number, got True"),
+    (problem("inf-k-max", "trace", k_max=float("inf")), "k_max must be finite, got inf"),
+    (problem("inf-tolerance", "solve", tolerance=float("inf")), "tolerance must be finite, got inf"),
+    (problem("fractional-presic-arity", "solve",
+             map={"presic": {"rule": "affine", "coeffs": [0.25, 0.25], "arity": 2.7, "offset": 1.0}}),
+     "presic arity must be an integer, got 2.7"),
+    (problem("bool-presic-arity", "solve",
+             map={"presic": {"rule": "affine", "coeffs": [0.5], "arity": True, "offset": 1.0}}),
+     "presic arity must be a number, got True"),
+]
+
+
+@pytest.mark.parametrize("entry", [entry for entry, _ in MALFORMED_VALUES], ids=lambda entry: entry["id"])
 def test_malformed_values_exit_1(tmp_path, capsys, entry):
     config = write_config(tmp_path, [entry])
     assert run(config, str(tmp_path / "out")) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
 
 
-#: (config document, what stderr must name); each config error names its problem where it has one
-CONFIG_ERRORS = {
-    "q0-outside": ({"problems": [problem("q0-outside", "certify", q0=1.5)]}, "'q0-outside'"),
-    "unknown-kind": ({"problems": [problem("unknown-kind", "solve", map={"quadratic": {}})]}, "'unknown-kind'"),
-    "presic-arity-mismatch": ({"problems": [problem("presic-arity-mismatch", "solve", map={
-        "presic": {"rule": "affine", "coeffs": [0.25, 0.25], "arity": 3, "offset": 1.0}})]}, "'presic-arity-mismatch'"),
-    "problems-not-a-list": ({"problems": {"a": problem("a", "solve")}}, "'problems' must be a list"),
+#: (entry, the error after "problem '<id>': "): one case for each check of an entry after its id
+ENTRY_ERRORS = MALFORMED_VALUES + [
+    (problem("unknown-mode", "explode"), "unknown mode 'explode'"),
+    (problem("list-mode", ["solve"]), "unknown mode ['solve']"),
+    (problem("zero-tolerance", "solve", tolerance=0.0), "tolerance must be positive"),
+    (problem("huge-k-max", "trace", k_max=10**400), "k_max is too large"),
+    (problem("initial-list", "solve", initial=[0.0]), "initial must be an object"),
+    (problem("string-prefix", "solve", initial={"prefix": "12", "tail": 0.0}), "initial prefix must be a list, got '12'"),
+    (problem("no-k-max", "trace"), "mode 'trace' needs a positive k_max"),
+    (problem("zero-n-max", "truncate", n_max=0, base=0.0), "mode 'truncate' needs a positive n_max"),
+    (problem("no-base", "truncate", n_max=2), "mode 'truncate' needs a base point"),
+    (problem("q0-outside", "certify", q0=1.5), "q0 must lie in (0, 1)"),
+    (problem("two-kinds", "solve", map={"linear": {}, "sup_half": {}}), "map must be an object with exactly one kind"),
+    (problem("list-params", "solve", map={"linear": [0.5]}), "map parameters must be an object"),
+    (problem("unknown-kind", "solve", map={"quadratic": {}}), "unknown map kind 'quadratic'"),
+    (problem("presic-rule", "solve", map={"presic": {"rule": "cubic", "coeffs": [0.5]}}),
+     "unknown presic rule 'cubic' (supported: 'affine')"),
+    (problem("presic-arity-mismatch", "solve", map={
+        "presic": {"rule": "affine", "coeffs": [0.25, 0.25], "arity": 3, "offset": 1.0}}),
+     "presic arity must match len(coeffs)"),
     # the two checks that the map constructors make, LinearSeqMap's and FiniteArityMap's
-    "linear-unit-ratio": ({"problems": [problem("linear-unit-ratio", "solve", map={
-        "linear": {"head_coeffs": [0.5], "tail_coeff": 0.1, "tail_ratio": -1.0}})]},
-        "linear map for problem 'linear-unit-ratio': |tail_ratio| must be < 1"),
-    "presic-no-coeffs": ({"problems": [problem("presic-no-coeffs", "solve", map={
-        "presic": {"rule": "affine", "coeffs": [], "offset": 1.0}})]},
-        "presic map for problem 'presic-no-coeffs': arity must be >= 1"),
+    (problem("linear-unit-ratio", "solve", map={
+        "linear": {"head_coeffs": [0.5], "tail_coeff": 0.1, "tail_ratio": -1.0}}), "|tail_ratio| must be < 1"),
+    (problem("presic-no-coeffs", "solve", map={"presic": {"rule": "affine", "coeffs": [], "offset": 1.0}}),
+     "arity must be >= 1"),
+]
+
+#: (config document, how stderr must start after "error: "); an error in an entry names its problem first
+CONFIG_ERRORS = {
+    "problems-not-a-list": ({"problems": {"a": problem("a", "solve")}}, "'problems' must be a list"),
+    **{entry["id"]: ({"problems": [entry]}, f"problem {entry['id']!r}: {message}") for entry, message in ENTRY_ERRORS},
 }
 
 
@@ -246,7 +271,7 @@ def test_config_errors_exit_1_naming_the_problem(tmp_path, capsys, document, nam
     assert run(str(config), str(out)) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and named in captured.err, captured.err
+    assert captured.err.startswith(f"error: {named}"), captured.err
     assert not out.exists()
 
 
@@ -273,7 +298,8 @@ def test_unknown_config_keys_exit_1(tmp_path, capsys, key, document):
     assert run(str(config), str(tmp_path / "out")) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: unknown key {key!r} in ")
+    where = f"problem {document['problems'][0]['id']!r}: " if document["problems"] else ""
+    assert captured.err.startswith(f"error: {where}unknown key {key!r} in "), captured.err
 
 
 #: each mode field with a valid value; a mode accepts only its own fields in _MODES
@@ -291,7 +317,7 @@ def test_fields_a_mode_does_not_read_exit_1(tmp_path, capsys, mode, field, value
     assert run(write_config(tmp_path, [entry]), str(out)) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: unknown key {field!r} in problem 's'; allowed: ")
+    assert captured.err.startswith(f"error: problem 's': unknown key {field!r} in the problem; allowed: ")
     assert not out.exists()
 
 
@@ -488,6 +514,30 @@ def test_problem_config_round_trip_dict():
     assert ProblemConfig.from_dict(parsed.to_dict()) == parsed
 
 
+def _mutate_every_container(obj):
+    """Append to every list and then clear every dict reachable from ``obj``."""
+    for child in list(obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else ()):
+        _mutate_every_container(child)
+    if isinstance(obj, list):
+        obj.append(0.25)
+    elif isinstance(obj, dict):
+        obj.clear()
+
+
+def test_problem_config_hands_out_no_mutable_state():
+    text = json.dumps({"problems": [
+        problem("linear", "certify", initial={"prefix": [0.5, 0.25], "tail": 1.0}, q0=0.5),
+        problem("presic", "solve", map={"presic": {"rule": "affine", "coeffs": [0.25, 0.25], "offset": 1.0}}),
+    ]})
+    problems = parse_config(text)
+    echo = config_to_dict(problems)
+    _mutate_every_container(config_to_dict(problems))
+    _mutate_every_container([p.to_dict() for p in problems])
+    assert problems == parse_config(text)
+    assert config_to_dict(problems) == echo
+    assert problems[0].initial_seq() == BoundedSeq((0.5, 0.25), 1.0)
+
+
 def test_deterministic_output(tmp_path, capsys):
     config = write_config(
         tmp_path,
@@ -513,6 +563,16 @@ def test_solve_below_float_resolution_exits_2(tmp_path):
         assert done.returncode == EXIT_UNCERTIFIED, done.stdout + done.stderr
         assert "Traceback" not in done.stderr
         assert done.stdout.startswith(f"tiny-tol solve FAILED tolerance {tol:.3e} is below float resolution")
+
+
+def test_roundoff_at_the_cap_of_a_negative_slope_exits_2(tmp_path, capsys):
+    # the reference runs at tol/1000, where δ = 9.1e-13 of roundoff per evaluation leaves tol·(1 - c) = 1.44e-13 no room;
+    # with the slope negative, that roundoff keeps the planned steps above what c alone would leave
+    neg = {"linear": {"head_coeffs": [-0.856049225667278], "offset": 2383.633795947942}}
+    config = write_config(tmp_path, [problem("neg-truncate", "truncate", map=neg, tolerance=1e-9, n_max=2, base=0.0)])
+    assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
+    assert capsys.readouterr().out == ("neg-truncate truncate FAILED tolerance 1.000e-12 is below float resolution: "
+                                       "roundoff blocks the stop\n")
 
 
 def test_solve_over_the_step_budget_exits_2(tmp_path):

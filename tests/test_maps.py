@@ -557,6 +557,23 @@ def test_linear_witnesses_check_q_and_p(q, p, message):
         list(RECUR.witnesses(q, p))
 
 
+@pytest.mark.parametrize("q, message", [
+    (-0.5, r"^q must lie in \(0, 1\], got -0\.5$"),
+    (2.0, r"^q must lie in \(0, 1\], got 2\.0$"),
+    (math.nan, r"^q must be finite, got nan$"),
+], ids=["negative", "above-1", "nan"])
+def test_lip_sup_checks_q(q, message):
+    # an embedded map's hint / q**(m-1) read -1.0, 0.25 and nan here
+    for f in (PRESIC, RECUR):
+        with pytest.raises(ValueError, match=message):
+            f.lip_sup(q)
+
+
+def test_power_witness_ends_before_an_entry_that_overflows():
+    # at p = 1.0001 the entry for b_1 = 0.5 at weight 0.25 is 2.0**10000
+    assert list(LinearSeqMap((-1.0, 0.5)).witnesses(0.25, 1.0001)) == [BoundedSeq((-1.0,), 0.0)]
+
+
 def test_empirical_bound_needs_a_trial():
     with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
         empirical_lip_lower_bound(RECUR, 0.5, trials=0)

@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqfix import (
@@ -430,6 +430,40 @@ def test_residual_above_the_roundoff_floor_is_still_a_violation():
     f = LinearSeqMap((0.9,), offset=1.0)  # true constant 0.9, claimed 0.01
     with pytest.raises(BoundViolationError):
         solve_fixed_point(f, ZERO, SupCertificate(0.5, 0.01), 1e-17)
+
+
+def test_nan_residual_is_a_bound_violation():
+    class NanDiagonal(SeqMap):
+        """A map whose diagonal reads NaN everywhere: no residual of it can pass the terminal check."""
+
+        def eval(self, x):
+            return 0.5 * x.head(1)[0]
+
+        def diagonal(self, t):
+            return math.nan
+
+        def lip_sup(self, q):
+            return 0.5
+
+    with pytest.raises(BoundViolationError, match="^terminal residual nan exceeds"):
+        solve_fixed_point(NanDiagonal(), BoundedSeq.constant(1.0), SupCertificate(0.5, 0.5), 1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-0.99, max_value=0.99), st.floats(min_value=-1e5, max_value=1e5),
+       st.sampled_from([1e-6, 1e-9, 1e-12]))
+@example(-0.856049225667278, 2383.633795947942, 1e-9)  # the truncation study's reference runs at tol/1000
+@example(-0.8792827331217441, 48978.84146693345, 1e-12)
+def test_affine_maps_within_their_constant_are_never_a_bound_violation(a, b, tol):
+    # δ of roundoff per evaluation can keep the steps up to 2δ/(1 - c) long, most with a negative slope:
+    # a tolerance that it blocks is below float resolution, not a broken certificate
+    f = LinearSeqMap((a,), offset=b)
+    cert = find_sup_certificate(f)
+    for run in (lambda: solve_fixed_point(f, ZERO, cert, tol), lambda: truncation_study(f, cert, 0.0, 2, tol)):
+        try:
+            run()
+        except ValueError as e:
+            assert "below float resolution" in str(e)
 
 
 def test_truncation_without_its_own_certificate_plans_with_the_maps():
