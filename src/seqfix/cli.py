@@ -15,8 +15,10 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 from .maps import FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, _lip_lower_bounds, embed_finite
 from .sequences import BoundedSeq, ensure_finite
@@ -54,13 +56,14 @@ def _fmt(v: float | None) -> str:
 class ProblemConfig:
     """One problem as its normalized config entry: a map, a starting sequence, a tolerance, and a mode.
 
-    ``initial`` is ``{"prefix": (...), "tail": t}``, lists are tuples, and
-    the mode's fields that the entry leaves out are None.
+    ``initial`` is ``{"prefix": (...), "tail": t}``, lists are tuples,
+    mappings are read-only, and the mode's fields that the entry leaves out
+    are None.
     """
 
     id: str
-    map: dict
-    initial: dict
+    map: Mapping
+    initial: Mapping
     tolerance: float
     mode: str
     k_max: int | None = None
@@ -89,8 +92,8 @@ class ProblemConfig:
             if not isinstance(initial, dict):
                 raise ConfigError("initial must be an object")
             _check_keys(initial, ("prefix", "tail"), "initial")
-            initial = {"prefix": _numbers(initial.get("prefix", []), "initial prefix"),
-                       "tail": _number(initial.get("tail", 0.0), "initial tail")}
+            initial = MappingProxyType({"prefix": _numbers(initial.get("prefix", []), "initial prefix"),
+                                        "tail": _number(initial.get("tail", 0.0), "initial tail")})
             k_max = _integer(raw.get("k_max"), "k_max")
             n_max = _integer(raw.get("n_max"), "n_max")
             base = None if raw.get("base") is None else _number(raw["base"], "base")
@@ -154,8 +157,8 @@ def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
                           f"allowed: {', '.join(allowed) or 'none'}")
 
 
-def _normalize_map_spec(spec: object) -> dict:
-    """The map entry with normalized parameters, checked by building the map from them once."""
+def _normalize_map_spec(spec: object) -> Mapping:
+    """The map entry with normalized, read-only parameters, checked by building the map from them once."""
     if not isinstance(spec, dict) or len(spec) != 1:
         raise ConfigError("map must be an object with exactly one kind")
     kind, params = next(iter(spec.items()))
@@ -167,7 +170,7 @@ def _normalize_map_spec(spec: object) -> dict:
     _check_keys(params, keys, f"{kind} map")
     params = normalize(params)
     build(params)  # the map checks its own parameters, such as |tail_ratio| < 1
-    return {kind: params}
+    return MappingProxyType({kind: MappingProxyType(params)})
 
 
 def _normalize_linear(params: dict) -> dict:

@@ -369,7 +369,7 @@ class SupHalfMap(SeqMap):
 
     def lip_sup(self, q: float) -> float:
         """1/2 for the plain sup distance (q = 1); ``inf`` for every q < 1."""
-        return 0.5 if q == 1.0 else math.inf
+        return 0.5 if ensure_weight(q, closed=True) == 1.0 else math.inf
 
 
 @dataclass(frozen=True, eq=False)

@@ -330,46 +330,66 @@ def _roundoff(residual: float, t: float, dt: float, tol: float, room: float) -> 
 
 
 def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: float) -> float:
-    """Iterate ``t <- d(t)`` from ``t`` until it is within ``tol`` of the fixed point of ``d``.
+    """Steffensen's method for the fixed point of ``d`` from ``t``, to within ``tol``.
 
-    ``c < 1`` is a Lipschitz constant of ``d``. With δ from :func:`_roundoff`
-    for the evaluation t_k = d(t_{k-1}), the a posteriori bound is
-    ``|t_k - t*| <= (c·|t_k - t_{k-1}| + δ) / (1 - c)``, and the loop stops
-    at the first k where it is at most ``tol``. δ is read only where it can
-    decide: when ``c·|t_k - t_{k-1}|`` alone passes, or when the step did
-    not shrink, as in exact arithmetic it would. There a step within δ
-    raises ``ValueError`` if δ alone leaves no room for the stop. A step
-    that stops shrinking while δ leaves room does not raise: steps a few
-    ulps long can round to the same length and then shrink again.
+    ``c < 1`` is a Lipschitz constant of ``d``. Every evaluation gives a
+    pair (x, d(x)), and with δ from :func:`_roundoff` the a posteriori bound
+    ``|d(x) - t*| <= (c·|d(x) - x| + δ) / (1 - c)`` stops the loop at the
+    first pair where it is at most ``tol``. δ is read only where it can
+    decide: when ``c·|d(x) - x|`` alone passes, or when the step did not
+    shrink. There a step within δ raises ``ValueError`` if δ alone leaves
+    no room for the stop.
 
-    The loop is capped by the a priori plan
-    ``c**k / (1 - c) · |t_1 - t_0| <= tol``, by which the stop must have
-    come in exact arithmetic, and by :data:`_STEP_BUDGET`. At the cap it
-    raises ``ValueError`` when the plan is over budget. Otherwise, with
-    s = |t_k - t_{k-1}|, ``|d(t_{k-1}) - t*| <= c·|t_{k-1} - t*|`` puts t*
-    in [t_k - c·s/(1 + c), t_k + c·s/(1 - c)] for a step up (mirrored for
-    a step down), and the loop returns the midpoint when
-    ``(c·s/(1 + c) + δ) / (1 - c) <= tol`` bounds its error. That holds
-    when the plan is met up to roundoff, so a stop that δ blocks at the cap
-    needs no step past the plan. When it fails, only δ blocking
-    ``c·s <= tol·(1 - c) + 2cδ/(1 - c)`` raises ``ValueError``, and anything
-    else :class:`BoundViolationError`: the steps shrink too slowly for ``c``.
+    A plain step takes (d(x), d(d(x))) next. After one, when the steps
+    Δ0, Δ1 of the last two pairs have ``|Δ1| <= c·|Δ0|`` (so Δ1 ≠ Δ0) and
+    the Aitken point ``a = d(d(x)) - Δ1²/(Δ1 - Δ0)`` is finite, the next
+    pair is (a, d(a)) instead. It is kept when ``|d(a) - a| <= c·|Δ1|``, a
+    step as short as a plain one would be. A rejected candidate, or one
+    where ``d`` raises ``ValueError``, returns the loop to the plain pair,
+    and the rest of the run takes plain steps.
+
+    The evaluations are capped by the a priori plan
+    ``c**k / (1 - c) · |t_1 - t_0| <= tol``, held to :data:`_STEP_BUDGET`,
+    plus the one a rejected candidate spent: every kept pair shortens the
+    step by c, so the stop must have come by then in exact arithmetic. At
+    the cap it raises ``ValueError`` when the plan is over budget.
+    Otherwise, with s = |d(x) - x|, t* lies in
+    [d(x) - c·s/(1 + c), d(x) + c·s/(1 - c)] for a step up (mirrored for a
+    step down), and the loop returns the midpoint when
+    ``(c·s/(1 + c) + δ) / (1 - c) <= tol`` bounds its error. When that
+    fails, only δ blocking ``c·s <= tol·(1 - c) + 2cδ/(1 - c)`` raises
+    ``ValueError``, and anything else :class:`BoundViolationError`: the
+    steps shrink too slowly for ``c``.
     """
     room = tol * (1.0 - c)
     prev, t = t, d(t)
     plan = _plan_length(c, c, abs(t - prev), tol)
     cap = min(plan, _STEP_BUDGET)
-    k, last = 1, math.inf
+    calls, last, d0, kept, extrapolate = 1, math.inf, None, None, True
     while True:
         step = abs(t - prev)
         if c * step <= room or step >= last:
             if c * step + _roundoff(step, prev, t, tol, room) <= room:
                 return t
-        if k == cap:
+        if kept is not None and not step <= c * last:  # a rejected candidate: back to the plain pair
+            (prev, t, step), cap, extrapolate = kept, cap + 1, False
+        if calls == cap:
             break
-        prev, t, last = t, d(t), step
-        k += 1
-    if plan > cap:
+        calls += 1
+        a = math.nan
+        if d0 is not None and step <= c * abs(d0):  # (prev, t) is a plain step from a pair with signed step d0
+            d1 = t - prev
+            a = t - d1 * d1 / (d1 - d0)
+        if -math.inf < a < math.inf:
+            kept, d0, prev, last = (prev, t, step), None, a, step
+            try:
+                t = d(a)
+            except ValueError:  # a candidate outside the domain of d is rejected
+                t = math.nan
+        else:
+            kept, d0, last = None, t - prev if extrapolate else None, step
+            prev, t = t, d(t)
+    if plan > _STEP_BUDGET:
         raise _over_budget(plan)
     roundoff = _roundoff(step, prev, t, tol, room)
     if c * step / (1.0 + c) + roundoff <= room:
@@ -531,19 +551,23 @@ def truncation_study(
 
     The fixed point of the lifted map is the constant sequence at the fixed
     point of the diagonal ``t -> f(t, t, ...)``, and that of the arity-n
-    truncation ``g`` is the fixed point of ``t -> g(t, ..., t)``. Both are
-    iterated on the line from ``base`` with an a posteriori stop: the
-    reference at tol/1000 with ``cert.diagonal_lip()``, and each arity at
-    tol/10, so the error column resolves to tol/10. Freezing coordinates
-    cannot raise a q-weighted sup constant, and a max-metric constant of
-    ``g`` bounds its diagonal too, so arity n takes the smaller of
-    ``cert.lip`` and the truncation's ``lipschitz_hint``. Every observed
+    truncation ``g`` is the fixed point of ``t -> g(t, ..., t)``. Both come
+    from Steffensen steps on the line from ``base`` with an a posteriori
+    stop: the reference at tol/1000 with ``cert.diagonal_lip()``, and each
+    arity at tol/10, so the error column resolves to tol/10. Freezing
+    coordinates cannot raise a q-weighted sup constant, and a max-metric
+    constant of ``g`` bounds its diagonal too, so arity n takes the smaller
+    of ``cert.lip`` and the truncation's ``lipschitz_hint``. Every observed
     error must respect the certified bound
     ``q**n * lip / (1 - lip) * |reference - base|``; a violation raises
-    :class:`BoundViolationError`.
+    :class:`BoundViolationError`. The study's work grows with the sum of its
+    arities, n_max·(n_max + 1)/2, and a sum over :data:`_STEP_BUDGET` is
+    refused before any evaluation.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if (arities := n_max * (n_max + 1) // 2) > _STEP_BUDGET:
+        raise ValueError(f"n_max {n_max} makes the arities sum to {arities}, more than the step budget {_STEP_BUDGET}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     base = ensure_finite(base, "base point")

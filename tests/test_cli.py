@@ -533,6 +533,11 @@ def test_problem_config_hands_out_no_mutable_state():
     echo = config_to_dict(problems)
     _mutate_every_container(config_to_dict(problems))
     _mutate_every_container([p.to_dict() for p in problems])
+    for p in problems:  # the fields themselves are read-only
+        [(kind, params)] = p.map.items()
+        for mapping in (p.map, params, p.initial):
+            with pytest.raises(TypeError):
+                mapping["offset"] = 3.0
     assert problems == parse_config(text)
     assert config_to_dict(problems) == echo
     assert problems[0].initial_seq() == BoundedSeq((0.5, 0.25), 1.0)
@@ -567,12 +572,13 @@ def test_solve_below_float_resolution_exits_2(tmp_path):
 
 def test_roundoff_at_the_cap_of_a_negative_slope_exits_2(tmp_path, capsys):
     # the reference runs at tol/1000, where δ = 9.1e-13 of roundoff per evaluation leaves tol·(1 - c) = 1.44e-13 no room;
-    # with the slope negative, that roundoff keeps the planned steps above what c alone would leave
+    # a plain chain reaches its cap (see test_roundoff_at_the_cap_of_a_plain_chain_is_below_resolution),
+    # and the first Aitken point lands within that roundoff of the fixed point
     neg = {"linear": {"head_coeffs": [-0.856049225667278], "offset": 2383.633795947942}}
     config = write_config(tmp_path, [problem("neg-truncate", "truncate", map=neg, tolerance=1e-9, n_max=2, base=0.0)])
     assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
     assert capsys.readouterr().out == ("neg-truncate truncate FAILED tolerance 1.000e-12 is below float resolution: "
-                                       "roundoff blocks the stop\n")
+                                       "the residual 0.000e+00 is within roundoff 9.095e-13\n")
 
 
 def test_solve_over_the_step_budget_exits_2(tmp_path):
@@ -586,6 +592,21 @@ def test_solve_over_the_step_budget_exits_2(tmp_path):
     assert done.returncode == EXIT_UNCERTIFIED, done.stdout + done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout == "slow solve FAILED the a priori bound plans 30818188 steps, more than the step budget 1000000\n"
+
+
+def test_truncate_over_the_step_budget_exits_2(tmp_path):
+    # n_max 10**6 would make the arities sum to 5e11: the study is refused before it evaluates anything
+    config = write_config(tmp_path, [problem("wide", "truncate", n_max=10**6, base=0.0)])
+    env = dict(os.environ, PYTHONPATH=str(Path(seqfix.__file__).parents[1]), PYTHONWARNINGS="error")
+    done = subprocess.run(
+        [sys.executable, "-m", "seqfix.cli", "--config", config, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_UNCERTIFIED, done.stdout + done.stderr
+    assert done.stderr == ""
+    assert done.stdout == ("wide truncate FAILED n_max 1000000 makes the arities sum to 500000500000, "
+                           "more than the step budget 1000000\n")
+    assert not (tmp_path / "out" / "wide.csv").exists()
 
 
 def test_certify_rows_equal_one_empirical_bound_per_family(tmp_path, capsys):

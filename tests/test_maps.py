@@ -563,8 +563,8 @@ def test_linear_witnesses_check_q_and_p(q, p, message):
     (math.nan, r"^q must be finite, got nan$"),
 ], ids=["negative", "above-1", "nan"])
 def test_lip_sup_checks_q(q, message):
-    # an embedded map's hint / q**(m-1) read -1.0, 0.25 and nan here
-    for f in (PRESIC, RECUR):
+    # an embedded map's hint / q**(m-1) read -1.0, 0.25 and nan here, and the half-supremum map inf
+    for f in (PRESIC, RECUR, SupHalfMap()):
         with pytest.raises(ValueError, match=message):
             f.lip_sup(q)
 

@@ -646,6 +646,23 @@ def test_out_of_range_arguments_raise(call, message):
         call()
 
 
+def test_truncation_study_over_the_step_budget_is_refused_before_any_evaluation(monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("the study evaluated a diagonal")
+
+    monkeypatch.setattr("seqfix.solver._diagonal_fixed_point", no_evaluation)
+    with pytest.raises(ValueError, match=r"^n_max 1414 makes the arities sum to 1000405, "
+                                         r"more than the step budget 1000000$") as caught:
+        truncation_study(RECUR, RECUR_CERT, 0.0, 1414, 1e-6)
+    assert not isinstance(caught.value, BoundViolationError)
+    # 1 + ... + 4 = 10 fits a budget of 10, and 1 + ... + 5 does not
+    monkeypatch.setattr("seqfix.solver._STEP_BUDGET", 10)
+    with pytest.raises(AssertionError, match="evaluated"):
+        truncation_study(RECUR, RECUR_CERT, 0.0, 4, 1e-6)
+    with pytest.raises(ValueError, match=r"^n_max 5 makes the arities sum to 15, more than the step budget 10$"):
+        truncation_study(RECUR, RECUR_CERT, 0.0, 5, 1e-6)
+
+
 def test_diagonal_iteration_slower_than_its_claimed_constant_is_a_bound_violation():
     # d contracts by 0.9, not the claimed 0.1: the 7 planned steps leave a step far above tol * (1 - c) / c
     with pytest.raises(BoundViolationError, match=r"after the planned 7 steps exceeds the certified"):
@@ -653,8 +670,8 @@ def test_diagonal_iteration_slower_than_its_claimed_constant_is_a_bound_violatio
 
 
 def test_diagonal_iteration_over_the_step_budget_raises(monkeypatch):
-    # the true constant is the claimed one, so no early stop comes before the capped plan runs out
-    monkeypatch.setattr("seqfix.solver._STEP_BUDGET", 1000)
-    over_budget = r"^the a priori bound plans \d+ steps, more than the step budget 1000$"
+    # a budget of 2 evaluations ends the run before its first Aitken point, so no early stop comes first
+    monkeypatch.setattr("seqfix.solver._STEP_BUDGET", 2)
+    over_budget = r"^the a priori bound plans \d+ steps, more than the step budget 2$"
     with pytest.raises(ValueError, match=over_budget):
         _diagonal_fixed_point(lambda t: 0.9999999 * t + 1.0, 0.0, 0.9999999, 1e-6)

@@ -27,6 +27,7 @@ from seqfix import (
     truncate,
     truncation_study,
 )
+from seqfix.solver import _diagonal_fixed_point
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 coeff = st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.sampled_from([0.0, -0.0]))
@@ -252,31 +253,49 @@ def test_window_of_the_wrong_length_is_a_value_error():
         presic_iterates(g, (1.0, 2.0, 3.0), 1)
 
 
+def recorded(d, points):
+    """``d``, appending (x, d(x)) to ``points`` at every evaluation."""
+
+    def evaluate(x):
+        y = d(x)
+        points.append((x, y))
+        return y
+
+    return evaluate
+
+
+def rejected_candidates(points):
+    """How many evaluated points were extrapolated candidates that the loop then left.
+
+    ``points`` are the (x, d(x)) of a diagonal run in order. A plain step
+    evaluates the previous image; any other point is a candidate, kept when
+    its own image is evaluated next.
+    """
+    return sum(x != points[j - 1][1] and points[j + 1][0] != y for j, (x, y) in enumerate(points[1:-1], 1))
+
+
+def counted_diagonal(runs, d, t, c, tol):
+    """``_diagonal_fixed_point(d, t, c, tol)``; appends to ``runs`` its evaluations and its cap, even when it raises.
+
+    The cap is the a priori plan of ``c``, held to the step budget, plus
+    the evaluation a rejected candidate spent.
+    """
+    points = []
+    plan = seqfix.solver._plan_length(c, c, abs(d(t) - t), tol)
+    try:
+        return _diagonal_fixed_point(recorded(d, points), t, c, tol)
+    finally:
+        runs.append((len(points), min(plan, seqfix.solver._STEP_BUDGET) + rejected_candidates(points)))
+
+
 def counted_study(runs, f, cert, base, n_max, tol):
     """``truncation_study``'s report; appends to ``runs`` each diagonal solve's evaluations and cap.
 
-    The first run is the reference; the others are arities 1 .. n_max. The
-    cap is the a priori plan of the run's constant, held to the step budget.
-    A run that raises is appended too.
+    The first run is the reference; the others are arities 1 .. n_max. A
+    run that raises is appended too.
     """
-    solve = seqfix.solver._diagonal_fixed_point
-
-    def counting(d, t, c, tol):
-        calls = 0
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return d(x)
-
-        plan = seqfix.solver._plan_length(c, c, abs(d(t) - t), tol)
-        try:
-            return solve(counted, t, c, tol)
-        finally:
-            runs.append((calls, min(plan, seqfix.solver._STEP_BUDGET)))
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seqfix.solver, "_diagonal_fixed_point", counting)
+        mp.setattr(seqfix.solver, "_diagonal_fixed_point", lambda d, t, c, tol: counted_diagonal(runs, d, t, c, tol))
         return truncation_study(f, cert, base, n_max, tol)
 
 
@@ -287,8 +306,9 @@ def test_readme_truncation_study_counts_its_diagonal_evaluations():
     runs = []
     counted_study(runs, README_MAP, find_sup_certificate(README_MAP), 0.0, 20, 1e-6)
     evaluations = [calls for calls, _ in runs]
-    assert evaluations == [57, 16, 25, 32, 37, 40, 41, 42] + [43] * 13
-    assert sum(evaluations[1:]) == 792
+    # one Steffensen cycle each: t_1, t_2 and the Aitken point, whose pair passes the stop
+    assert evaluations == [3] * 21
+    assert sum(evaluations[1:]) == 60
     assert all(calls <= cap for calls, cap in runs)
 
 
@@ -340,3 +360,103 @@ def test_truncation_study_stops_early_under_an_over_budget_plan():
     assert runs[0][1] == seqfix.solver._STEP_BUDGET
     assert abs(report.reference - f.fixed_point()) <= 1e-7
     assert runs[0][0] < 20
+
+
+def sine_fixed_point(a, b):
+    """The fixed point of t -> a·sin(t) + b for |a| < 1, bisected down to adjacent floats."""
+    lo, hi = b - abs(a), b + abs(a)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if a * math.sin(mid) + b > mid:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-0.99, max_value=0.99), st.floats(min_value=-100.0, max_value=100.0),
+       st.floats(min_value=-100.0, max_value=100.0), st.floats(min_value=0.0, max_value=0.5),
+       st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]))
+# a rejected candidate, then plain steps up to the cap, which counts the evaluation the candidate spent
+@example(0.9600233878090692, -15.52270805373108, 28.03502489479925, 0.0, 1e-12)
+def test_steffensen_steps_keep_the_promise_on_sine_maps(a, b, t0, slack, tol):
+    # any c from |a| up is a valid constant, so a BoundViolationError fails the test
+    c = min(abs(a) + slack, 0.99)
+    runs = []
+    try:
+        value = counted_diagonal(runs, lambda t: a * math.sin(t) + b, t0, c, tol)
+    except ValueError as e:
+        assert "below float resolution" in str(e)
+    else:
+        t = sine_fixed_point(a, b)
+        assert abs(value - t) <= tol + 8 * math.ulp(t) / (1.0 - c)
+    [(calls, cap)] = runs
+    assert calls <= cap
+
+
+def test_a_rejected_candidate_spends_one_evaluation_past_the_plan():
+    # the Aitken point of the first cycle lands where the sine bends away; plain steps then run to the cap
+    a, b = 0.9600233878090692, -15.52270805373108
+    points = []
+    value = _diagonal_fixed_point(recorded(lambda t: a * math.sin(t) + b, points), 28.03502489479925, a, 1e-12)
+    assert rejected_candidates(points) == 1
+    assert len(points) == 850 == seqfix.solver._plan_length(a, a, abs(points[0][1] - points[0][0]), 1e-12) + 1
+    assert abs(value - sine_fixed_point(a, b)) <= 1e-12
+
+
+def is_plain_chain(points):
+    return all(x == points[j - 1][1] for j, (x, _) in enumerate(points[1:], 1))
+
+
+@pytest.mark.parametrize("d, c, tol, evaluations, fixed_point", [
+    (lambda t: t + 1.0, 0.5, 1e-6, 21, None),  # Δ1 = Δ0: the ratio is 1, and d has no fixed point
+    (lambda t: 0.9 * t + 1.0, 0.1, 1e-6, 7, None),  # the ratio 0.9 is above the claimed 0.1
+    (lambda t: 0.5 * t + 1e300, 0.5, 1e290, 35, 2e300),  # Δ1² overflows, so the Aitken point is not finite
+], ids=["no-second-difference", "ratio-above-c", "non-finite-aitken-point"])
+def test_steffensen_falls_back_to_plain_steps(d, c, tol, evaluations, fixed_point):
+    points = []
+    if fixed_point is None:  # c is no constant of d: the plain chain reaches its cap
+        with pytest.raises(BoundViolationError):
+            _diagonal_fixed_point(recorded(d, points), 0.0, c, tol)
+    else:
+        assert abs(_diagonal_fixed_point(recorded(d, points), 0.0, c, tol) - fixed_point) <= tol
+    assert len(points) == evaluations
+    assert is_plain_chain(points)
+
+
+class QuarterSquare(SeqMap):
+    """x_0² / 4 on sequences in [0, 1], a 1/2-contraction whose diagonal bends: Aitken points overshoot 0."""
+
+    domain = (0.0, 1.0)
+
+    def eval(self, x):
+        self._check_domain(x)
+        return 0.25 * x.head(1)[0] ** 2
+
+    def lip_sup(self, q):
+        return 0.5
+
+
+def test_a_candidate_outside_the_maps_domain_is_rejected():
+    f = QuarterSquare()
+    points = []
+    # 1 -> 0.25 -> 0.015625 puts the Aitken point at -0.09, where the map raises; only plain steps evaluate
+    assert abs(_diagonal_fixed_point(recorded(f.diagonal, points), 1.0, 0.5, 1e-6)) <= 1e-6
+    assert [x for x, _ in points[:3]] == [1.0, 0.25, 0.015625]
+    assert is_plain_chain(points)
+    report = truncation_study(f, find_sup_certificate(f), 1.0, 3, 1e-6)
+    assert abs(report.reference) <= 1e-9 and all(abs(row.value) <= 1e-7 for row in report.rows)
+
+
+def test_roundoff_at_the_cap_of_a_plain_chain_is_below_resolution():
+    # 2**900 times the negative slope map of the CLI's neg-truncate reference: every step stays above 2**512,
+    # so each Aitken point overflows and the plain chain, exactly 2**900 times the unscaled one, reaches its cap
+    scale = 2.0**900
+    f = LinearSeqMap((-0.856049225667278,), offset=2383.633795947942 * scale)
+    c = find_sup_certificate(f).diagonal_lip()
+    points = []
+    blocked = r"^tolerance 8\.453e\+258 is below float resolution: roundoff blocks the stop$"
+    with pytest.raises(ValueError, match=blocked):
+        _diagonal_fixed_point(recorded(f.diagonal, points), 0.0, c, 1e-12 * scale)
+    assert is_plain_chain(points)
+    assert len(points) == seqfix.solver._plan_length(c, c, points[0][1], 1e-12 * scale) == 241
