@@ -244,36 +244,13 @@ class LinearSeqMap(SeqMap):
         return q**deepest == 0.0
 
     def truncation(self, n: int, base: float) -> FiniteArityMap:
-        """Arity-n truncation from precomputed coefficient and tail tables.
+        """The default rule, with the hint sum_{k<n} |b_k|.
 
-        Bit for bit the arithmetic of :meth:`eval` on ``BoundedSeq(args, base)``:
-        trailing arguments equal to ``base`` are trimmed as ``BoundedSeq``
-        trims them, and ``offset + b_i * x_i`` is accumulated left to right
-        before ``base * tail_sum_from(m)`` is added. A non-finite argument
-        makes the sum non-finite, so the arguments are scanned for one only
-        then; a sum that overflows from finite arguments is returned for
-        :class:`FiniteArityMap` to reject. The hint is sum_{k<n} |b_k|.
+        That is the truncation's exact max-metric constant: the frozen
+        coordinates add nothing, where the default hint ``lip_sup(1.0)``
+        sums every |b_k|.
         """
-        coeffs = tuple(self.coeff_at(i) for i in range(n))
-        tails = tuple(self.tail_sum_from(m) for m in range(n + 1))
-        offset = self.offset
-        isfinite = math.isfinite
-
-        def rule(*args: float) -> float:
-            m = len(args)
-            while m > 0 and args[m - 1] == base:
-                m -= 1
-            acc = offset
-            for c, v in zip(coeffs, args[:m]):
-                acc += c * v
-            acc += base * tails[m]
-            if not isfinite(acc):
-                for v in args:
-                    if not isfinite(v):
-                        raise ValueError(f"sequence entry must be finite, got {v!r}")
-            return acc
-
-        return FiniteArityMap(n, rule, sum(abs(b) for b in coeffs))
+        return FiniteArityMap(n, super().truncation(n, base).rule, sum(abs(self.coeff_at(k)) for k in range(n)))
 
     def lip_sup(self, q: float) -> float:
         """Lipschitz constant for the q-weighted sup distance: sum_n |b_n| / q**n.
@@ -386,6 +363,8 @@ class FiniteArityMap:
     lipschitz_hint: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.arity, int):
+            raise ValueError(f"arity must be an integer, got {self.arity!r}")
         if self.arity < 1:
             raise ValueError(f"arity must be >= 1, got {self.arity}")
         if self.lipschitz_hint is not None and not self.lipschitz_hint >= 0.0:
@@ -467,8 +446,8 @@ def truncate(f: SeqMap, n: int, base: float) -> FiniteArityMap:
     the map's domain, then delegates to :meth:`SeqMap.truncation`, whose
     rule equals ``f.eval(BoundedSeq(args, base))`` bit for bit.
     """
-    if n < 1:
-        raise ValueError(f"truncation arity must be >= 1, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"truncation arity must be an integer >= 1, got {n!r}")
     base = ensure_finite(base, "base point")
     if f.domain is not None:
         lo, hi = f.domain

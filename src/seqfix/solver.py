@@ -480,7 +480,7 @@ def secelean_iterates(
     Requires f to contract for the plain (unweighted) sup distance; ``lip``
     is that constant, by default the map's own ``lip_sup(1.0)``. The
     recorded bound is
-    ``lip**(k+1) / (1 - lip) * max_i |f(x_i, x_i, ...) - x_i]``, a finite
+    ``lip**(k+1) / (1 - lip) * max_i |f(x_i, x_i, ...) - x_i|``, a finite
     maximum because the start has finitely many distinct coordinates.
     """
     if k_max < 0:

@@ -379,6 +379,17 @@ def test_truncate_respects_domain():
         truncate(RECUR, 0, 0.0)
 
 
+@pytest.mark.parametrize("arity", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("build", [
+    lambda n: FiniteArityMap(n, lambda *a: 0.0),
+    lambda n: truncate(RECUR, n, 0.0),
+    lambda n: truncate(SupHalfMap(), n, 0.0),
+], ids=["finite-arity", "truncate-linear", "truncate-sup-half"])
+def test_an_arity_that_is_not_an_integer_is_a_value_error(build, arity):
+    with pytest.raises(ValueError, match=f"arity must be an integer.*, got {arity!r}$"):
+        build(arity)
+
+
 def test_truncate_then_embed_round_trip():
     rng = random.Random(41)
     for _ in range(50):
