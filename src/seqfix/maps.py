@@ -17,6 +17,7 @@ that uses near-extremal witness pairs for linear maps.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from abc import ABC, abstractmethod
 from collections import deque
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .metrics import _geom_distance, ensure_exponent, ensure_weight
-from .sequences import BoundedSeq, ensure_finite
+from .sequences import BoundedSeq, ensure_count, ensure_finite
 
 
 #: deepest coordinate index a linear map's witness inputs reach
@@ -150,6 +151,8 @@ class LinearSeqMap(SeqMap):
 
     def tail_sum_from(self, m: int) -> float:
         """Signed sum of all coefficients from index ``m`` on, in closed form."""
+        if m < 0:
+            raise ValueError("coefficient index must be nonnegative")
         n = len(self.head_coeffs)
         geo = self.tail_coeff / (1.0 - self.tail_ratio)
         if m <= n:
@@ -363,12 +366,9 @@ class FiniteArityMap:
     lipschitz_hint: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.arity, int):
-            raise ValueError(f"arity must be an integer, got {self.arity!r}")
-        if self.arity < 1:
-            raise ValueError(f"arity must be >= 1, got {self.arity}")
-        if self.lipschitz_hint is not None and not self.lipschitz_hint >= 0.0:
-            raise ValueError(f"lipschitz_hint must be nonnegative, got {self.lipschitz_hint}")
+        object.__setattr__(self, "arity", ensure_count(self.arity, "arity", 1))
+        if (hint := self.lipschitz_hint) is not None and not (isinstance(hint, numbers.Real) and hint >= 0.0):
+            raise ValueError(f"lipschitz_hint must be nonnegative, got {hint!r}")
 
     def __call__(self, *args: float) -> float:
         if len(args) != self.arity:
@@ -446,8 +446,7 @@ def truncate(f: SeqMap, n: int, base: float) -> FiniteArityMap:
     the map's domain, then delegates to :meth:`SeqMap.truncation`, whose
     rule equals ``f.eval(BoundedSeq(args, base))`` bit for bit.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"truncation arity must be an integer >= 1, got {n!r}")
+    n = ensure_count(n, "truncation arity", 1)
     base = ensure_finite(base, "base point")
     if f.domain is not None:
         lo, hi = f.domain
@@ -515,7 +514,6 @@ def empirical_lip_lower_bound(
     bounds) 359 bounds exceed their constant, by at most 8.2e-16 relative.
     See ROADMAP item 5, certificates that hold in floating point.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = ensure_count(trials, "trials", 1)
     _geom_distance(q, p, 0)  # checks q, then p, before the map's witnesses take them
     return _lip_lower_bounds(f, [(q, p)], trials, seed)[0]

@@ -11,6 +11,7 @@ computations plus closed-form tails.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -21,6 +22,13 @@ def ensure_finite(value: float, what: str = "value") -> float:
     if not math.isfinite(v):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return v
+
+
+def ensure_count(value: int, what: str, least: int) -> int:
+    """Coerce an integer of at least ``least`` to int, rejecting anything else, a float such as 2.0 included."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

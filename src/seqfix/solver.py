@@ -23,7 +23,7 @@ from itertools import chain, islice
 # lift_step lives in maps, where SeqMap.iterates calls it; seqfix.solver.lift_step stays public
 from .maps import FiniteArityMap, SeqMap, lift_step, truncate  # noqa: F401
 from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
-from .sequences import BoundedSeq, ensure_finite
+from .sequences import BoundedSeq, ensure_count, ensure_finite
 
 
 class UncertifiedMapError(Exception):
@@ -154,8 +154,7 @@ def generalized_iterates(
     a certificate, the a priori error bound is recorded as well (computed
     from the displacement between the first lifted sequence and the start).
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    k_max = ensure_count(k_max, "k_max", 1)
     values, lifted = _lifted_iterates(f, x0)
     d1 = cert.gap(lifted, x0) if cert is not None else None
     steps = tuple(TraceStep(k, v, None if cert is None else cert.a_priori_bound(k, d1), abs(f.diagonal(v) - v))
@@ -178,13 +177,14 @@ def _lifted_iterates(f: SeqMap, x0: BoundedSeq) -> tuple[Iterator[float], Bounde
 _BISECT_STEPS = 53
 
 
-def _crossing(lip_at: Callable[[float], float]) -> float:
-    """Bisect [0, 1] for the weight where ``lip_at`` falls to the weight itself.
+def _crossing(lip_at: Callable[[float], float]) -> SupCertificate | None:
+    """The sup certificate at the weight where ``lip_at`` falls to the weight itself, or None.
 
-    Returns ``hi``, which is 1.0 when no tested weight q had
-    ``lip_at(q) <= q``, and otherwise keeps ``lip_at(hi) <= hi < 1``. When
-    ``lip_at`` does not increase with q, ``max(lip_at(q), q)`` is smallest
-    at the crossing, and ``hi`` lies within 2**-53 above it.
+    Bisects [0, 1] for a weight ``hi`` with ``lip_at(hi) <= hi < 1`` and
+    returns ``SupCertificate(hi, lip_at(hi))``; None when no tested weight
+    q had ``lip_at(q) <= q``, so ``hi`` stayed 1.0. When ``lip_at`` does not
+    increase with q, ``max(lip_at(q), q)`` is smallest at the crossing, and
+    ``hi`` lies within 2**-53 above it.
     """
     lo, hi = 0.0, 1.0
     for _ in range(_BISECT_STEPS):
@@ -193,7 +193,7 @@ def _crossing(lip_at: Callable[[float], float]) -> float:
             hi = mid
         else:
             lo = mid
-    return hi
+    return SupCertificate(hi, lip_at(hi)) if hi < 1.0 else None
 
 
 def find_sup_certificate(f: SeqMap) -> SupCertificate | None:
@@ -204,8 +204,7 @@ def find_sup_certificate(f: SeqMap) -> SupCertificate | None:
     certificate can have when ``lip_sup`` does not increase with q. None
     when no weight below 1 qualifies, so the map is reported uncertified.
     """
-    q = _crossing(f.lip_sup)
-    return SupCertificate(q, f.lip_sup(q)) if q < 1.0 else None
+    return _crossing(f.lip_sup)
 
 
 _P_GRID_MAX = 2**20
@@ -252,8 +251,7 @@ def sup_certificate_from_p(cert: PCertificate) -> SupCertificate | None:
         room = 1.0 - cert.q / s**cert.p if s**cert.p > cert.q else 0.0
         return cert.lip / room ** (1.0 / cert.p) if room > 0.0 else math.inf
 
-    s = _crossing(lip_at)
-    return SupCertificate(s, lip_at(s)) if s < 1.0 else None
+    return _crossing(lip_at)
 
 
 #: the most steps a plan may ask for: a longer one is refused before iterating, since it would not end in time
@@ -483,8 +481,7 @@ def secelean_iterates(
     ``lip**(k+1) / (1 - lip) * max_i |f(x_i, x_i, ...) - x_i|``, a finite
     maximum because the start has finitely many distinct coordinates.
     """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = ensure_count(k_max, "k_max", 0)
     if lip is None:
         lip = f.lip_sup(1.0)
         if lip == math.inf:
@@ -516,8 +513,7 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
     """
     if len(seeds) != g.arity:
         raise ValueError(f"expected {g.arity} seeds, got {len(seeds)}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    k_max = ensure_count(k_max, "k_max", 0)
     window = tuple(reversed([ensure_finite(s, "seed") for s in seeds]))
     return list(islice(g.iterates(window), k_max))
 
@@ -564,8 +560,7 @@ def truncation_study(
     arities, n_max·(n_max + 1)/2, and a sum over :data:`_STEP_BUDGET` is
     refused before any evaluation.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    n_max = ensure_count(n_max, "n_max", 1)
     if (arities := n_max * (n_max + 1) // 2) > _STEP_BUDGET:
         raise ValueError(f"n_max {n_max} makes the arities sum to {arities}, more than the step budget {_STEP_BUDGET}")
     if not tol > 0.0:

@@ -253,7 +253,7 @@ ENTRY_ERRORS = MALFORMED_VALUES + [
     (problem("linear-unit-ratio", "solve", map={
         "linear": {"head_coeffs": [0.5], "tail_coeff": 0.1, "tail_ratio": -1.0}}), "|tail_ratio| must be < 1"),
     (problem("presic-no-coeffs", "solve", map={"presic": {"rule": "affine", "coeffs": [], "offset": 1.0}}),
-     "arity must be >= 1"),
+     "arity must be an integer >= 1, got 0"),
 ]
 
 #: (config document, how stderr must start after "error: "); an error in an entry names its problem first

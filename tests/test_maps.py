@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -66,6 +67,13 @@ def test_coeff_at():
     assert RECUR.coeff_at(4) == pytest.approx(1.0 / 48.0, abs=1e-15)
     with pytest.raises(ValueError):
         RECUR.coeff_at(-1)
+
+
+def test_tail_sum_from_a_negative_index_is_a_value_error():
+    f = LinearSeqMap((0.5, 0.25), 0.1, 0.5, 1.0)
+    assert f.tail_sum_from(1) == 0.25 + 0.1 / 0.5
+    with pytest.raises(ValueError, match="^coefficient index must be nonnegative$"):
+        f.tail_sum_from(-1)
 
 
 def test_ratio_must_be_summable():
@@ -332,6 +340,17 @@ def test_finite_arity_map_checks():
         FiniteArityMap(1, lambda a: a, -0.5)
 
 
+@pytest.mark.parametrize("hint", [None, 0.0, 0.5, math.inf])
+def test_a_lipschitz_hint_is_none_or_a_nonnegative_number(hint):
+    assert FiniteArityMap(1, lambda a: a, hint).lipschitz_hint == hint
+
+
+@pytest.mark.parametrize("hint", [math.nan, -0.1, "0.5", [0.5]])
+def test_any_other_lipschitz_hint_is_a_value_error(hint):
+    with pytest.raises(ValueError, match=f"^lipschitz_hint must be nonnegative, got {re.escape(repr(hint))}$"):
+        FiniteArityMap(1, lambda a: a, hint)
+
+
 def test_embed_finite_reads_leading_coordinates():
     ident = embed_finite(FiniteArityMap(1, lambda a: a))
     assert ident.eval(BoundedSeq((9.0, 1.0), 0.0)) == 9.0
@@ -586,8 +605,9 @@ def test_power_witness_ends_before_an_entry_that_overflows():
 
 
 def test_empirical_bound_needs_a_trial():
-    with pytest.raises(ValueError, match=r"^trials must be >= 1, got 0$"):
-        empirical_lip_lower_bound(RECUR, 0.5, trials=0)
+    for trials in [0, 2.0, 2.5, "2", None]:
+        with pytest.raises(ValueError, match=f"^trials must be an integer >= 1, got {re.escape(repr(trials))}$"):
+            empirical_lip_lower_bound(RECUR, 0.5, trials=trials)
 
 
 def lip_p_before_underflow_guard(f, p, q):

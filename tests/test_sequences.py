@@ -1,10 +1,12 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqfix import BoundedSeq
+from seqfix.sequences import ensure_count
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 seqs = st.builds(BoundedSeq, st.lists(finite, max_size=6).map(tuple), finite)
@@ -114,3 +116,11 @@ def test_prepend_rejects_non_finite(x, bad):
 @given(signed_seqs, st.integers(min_value=-2, max_value=10))
 def test_head_reads_coordinates(x, n):
     assert x.head(n) == tuple(x.at(i) for i in range(n))
+
+
+def test_ensure_count_returns_an_int_and_refuses_anything_else():
+    assert ensure_count(3, "k", 0) == 3
+    assert type(ensure_count(True, "k", 1)) is int
+    for value in [-1, 2.0, 2.5, "2", None]:
+        with pytest.raises(ValueError, match=f"^k must be an integer >= 0, got {re.escape(repr(value))}$"):
+            ensure_count(value, "k", 0)

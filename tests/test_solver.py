@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -631,16 +633,31 @@ def test_a_plan_over_the_step_budget_is_refused_before_iterating():
     assert _STEP_BUDGET == 10**6
 
 
+#: (id, the call given only its count, the count's name, its least value): every count argument of the solver
+COUNTS = [
+    ("generalized-k-max", lambda k: generalized_iterates(RECUR, ZERO, k), "k_max", 1),
+    ("secelean-k-max", lambda k: secelean_iterates(RECUR, ZERO, k), "k_max", 0),
+    ("presic-k-max", lambda k: presic_iterates(FiniteArityMap(1, lambda a: 0.5 * a), (0.0,), k), "k_max", 0),
+    ("truncation-n-max", lambda n: truncation_study(RECUR, RECUR_CERT, 0.0, n, 1e-6), "n_max", 1),
+]
+
+#: counts that are not integers: a whole float included, each is refused by name
+NOT_COUNTS = [2.0, 2.5, "2", None]
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: generalized_iterates(RECUR, ZERO, 0), r"^k_max must be >= 1, got 0$"),
-    (lambda: secelean_iterates(RECUR, ZERO, -1), r"^k_max must be >= 0, got -1$"),
-    (lambda: presic_iterates(FiniteArityMap(1, lambda a: 0.5 * a), (0.0,), -1), r"^k_max must be >= 0, got -1$"),
-    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 0, 1e-6), r"^n_max must be >= 1, got 0$"),
+    (lambda: generalized_iterates(RECUR, ZERO, 0), r"^k_max must be an integer >= 1, got 0$"),
+    (lambda: secelean_iterates(RECUR, ZERO, -1), r"^k_max must be an integer >= 0, got -1$"),
+    (lambda: presic_iterates(FiniteArityMap(1, lambda a: 0.5 * a), (0.0,), -1),
+     r"^k_max must be an integer >= 0, got -1$"),
+    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 0, 1e-6), r"^n_max must be an integer >= 1, got 0$"),
     (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 3, 0.0), r"^tolerance must be positive, got 0\.0$"),
     (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 3, -1e-6), r"^tolerance must be positive, got -1e-06$"),
     (lambda: reduce_general_weights(1.0, 0.5, -0.1), r"^lip must be nonnegative, got -0\.1$"),
-], ids=["generalized-k-max", "secelean-k-max", "presic-k-max", "truncation-n-max", "truncation-zero-tol",
-        "truncation-negative-tol", "reduce-negative-lip"])
+] + [(partial(call, v), f"^{name} must be an integer >= {least}, got {re.escape(repr(v))}$")
+     for _, call, name, least in COUNTS for v in NOT_COUNTS],
+    ids=["generalized-k-max", "secelean-k-max", "presic-k-max", "truncation-n-max", "truncation-zero-tol",
+         "truncation-negative-tol", "reduce-negative-lip"] + [f"{case}-{v}" for case, *_ in COUNTS for v in NOT_COUNTS])
 def test_out_of_range_arguments_raise(call, message):
     with pytest.raises(ValueError, match=message):
         call()
