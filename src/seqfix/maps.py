@@ -188,9 +188,7 @@ class LinearSeqMap(SeqMap):
         call, and each pair is summed left to right, then its tail added.
         """
         spans = [max(len(a.prefix), len(b.prefix)) for a, b in pairs]
-        n_head, ratio = len(self.head_coeffs), self.tail_ratio
-        coeffs = self.head_coeffs + tuple(  # b_n, as in coeff_at
-            self.tail_coeff * ratio ** (n - n_head) for n in range(n_head, max(spans, default=0)))
+        coeffs = tuple(map(self.coeff_at, range(max(spans, default=0))))
         tails = {m: self.tail_sum_from(m) for m in set(spans)}
         out = []
         for (a, b), m in zip(pairs, spans):

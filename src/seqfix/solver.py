@@ -59,7 +59,7 @@ class ContractionCertificate(ABC):
         """Error bound for the k-th iterate from the first-step displacement d1."""
         if k < 1:
             raise ValueError(f"iterate index must be >= 1, got {k}")
-        if d1 < 0.0:
+        if not d1 >= 0.0:
             raise ValueError(f"first-step displacement must be nonnegative, got {d1}")
         sf = self.step_factor()
         return self.lip * sf ** (k - 1) / (1.0 - sf) * d1
@@ -344,11 +344,11 @@ def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: 
     pair is (a, d(a)) instead. It is kept when ``|d(a) - a| <= c·|Δ1|``, a
     step as short as a plain one would be. A rejected candidate, or one
     where ``d`` raises ``ValueError``, returns the loop to the plain pair,
-    and the rest of the run takes plain steps.
+    and the next plain step may extrapolate again.
 
     The evaluations are capped by the a priori plan
     ``c**k / (1 - c) · |t_1 - t_0| <= tol``, held to :data:`_STEP_BUDGET`,
-    plus the one a rejected candidate spent: every kept pair shortens the
+    plus one for each rejected candidate: every kept pair shortens the
     step by c, so the stop must have come by then in exact arithmetic. At
     the cap it raises ``ValueError`` when the plan is over budget.
     Otherwise, with s = |d(x) - x|, t* lies in
@@ -363,14 +363,14 @@ def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: 
     prev, t = t, d(t)
     plan = _plan_length(c, c, abs(t - prev), tol)
     cap = min(plan, _STEP_BUDGET)
-    calls, last, d0, kept, extrapolate = 1, math.inf, None, None, True
+    calls, last, d0, kept = 1, math.inf, None, None
     while True:
         step = abs(t - prev)
         if c * step <= room or step >= last:
             if c * step + _roundoff(step, prev, t, tol, room) <= room:
                 return t
         if kept is not None and not step <= c * last:  # a rejected candidate: back to the plain pair
-            (prev, t, step), cap, extrapolate = kept, cap + 1, False
+            (prev, t, step), cap = kept, cap + 1
         if calls == cap:
             break
         calls += 1
@@ -385,7 +385,7 @@ def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: 
             except ValueError:  # a candidate outside the domain of d is rejected
                 t = math.nan
         else:
-            kept, d0, last = None, t - prev if extrapolate else None, step
+            kept, d0, last = None, t - prev, step
             prev, t = t, d(t)
     if plan > _STEP_BUDGET:
         raise _over_budget(plan)
@@ -550,7 +550,9 @@ def truncation_study(
     truncation ``g`` is the fixed point of ``t -> g(t, ..., t)``. Both come
     from Steffensen steps on the line from ``base`` with an a posteriori
     stop: the reference at tol/1000 with ``cert.diagonal_lip()``, and each
-    arity at tol/10, so the error column resolves to tol/10. Freezing
+    arity at tol/10, so the error column resolves to tol/10. Both evaluate
+    through :meth:`FiniteArityMap.__call__`, the diagonal as an arity-1
+    map, so a non-finite value raises ``ValueError``. Freezing
     coordinates cannot raise a q-weighted sup constant, and a max-metric
     constant of ``g`` bounds its diagonal too, so arity n takes the smaller
     of ``cert.lip`` and the truncation's ``lipschitz_hint``. Every observed
@@ -558,15 +560,18 @@ def truncation_study(
     ``q**n * lip / (1 - lip) * |reference - base|``; a violation raises
     :class:`BoundViolationError`. The study's work grows with the sum of its
     arities, n_max·(n_max + 1)/2, and a sum over :data:`_STEP_BUDGET` is
-    refused before any evaluation.
+    refused before any evaluation, as is a certificate that is not a
+    :class:`SupCertificate`.
     """
+    if not isinstance(cert, SupCertificate):
+        raise ValueError(f"truncation_study needs a SupCertificate, got {type(cert).__name__}")
     n_max = ensure_count(n_max, "n_max", 1)
     if (arities := n_max * (n_max + 1) // 2) > _STEP_BUDGET:
         raise ValueError(f"n_max {n_max} makes the arities sum to {arities}, more than the step budget {_STEP_BUDGET}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     base = ensure_finite(base, "base point")
-    ref = _diagonal_fixed_point(f.diagonal, base, cert.diagonal_lip(), tol / 1000.0)
+    ref = _diagonal_fixed_point(FiniteArityMap(1, f.diagonal), base, cert.diagonal_lip(), tol / 1000.0)
     factor = cert.lip / (1.0 - cert.lip) * abs(ref - base)
     rows: list[TruncationRow] = []
     for n in range(1, n_max + 1):

@@ -609,6 +609,15 @@ def test_truncate_over_the_step_budget_exits_2(tmp_path):
     assert not (tmp_path / "out" / "wide.csv").exists()
 
 
+def test_truncate_with_an_overflowing_reference_exits_2(tmp_path, capsys):
+    # the diagonal 0.5·t + 1e308 has its fixed point at 2e308, past the largest float
+    huge = {"linear": {"head_coeffs": [0.5], "offset": 1e308}}
+    config = write_config(tmp_path, [problem("huge", "truncate", map=huge, n_max=5, base=0.0)])
+    assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
+    assert capsys.readouterr().out == "huge truncate FAILED map value must be finite, got inf\n"
+    assert not (tmp_path / "out" / "huge.csv").exists()
+
+
 def test_certify_rows_equal_one_empirical_bound_per_family(tmp_path, capsys):
     # certify scores one draw of pairs for both rows; each must equal the public bound's own draw
     signed = {"linear": {"head_coeffs": [0.25, -0.125, 0.0, 0.0625], "tail_coeff": -0.05, "tail_ratio": -0.4,

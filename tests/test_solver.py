@@ -76,8 +76,9 @@ def test_a_priori_bound_examples():
     assert p_cert.a_priori_bound(1, 1.0) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         cert.a_priori_bound(0, 1.0)
-    with pytest.raises(ValueError):
-        cert.a_priori_bound(1, -1.0)
+    for d1 in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^first-step displacement must be nonnegative, got"):
+            cert.a_priori_bound(1, d1)
 
 
 def test_a_priori_bound_recursion_identity():

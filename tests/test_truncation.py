@@ -20,6 +20,7 @@ from seqfix import (
     LinearSeqMap,
     SeqMap,
     embed_finite,
+    find_p_certificate,
     find_sup_certificate,
     generalized_iterates,
     presic_iterates,
@@ -255,7 +256,7 @@ def counted_diagonal(runs, d, t, c, tol):
     """``_diagonal_fixed_point(d, t, c, tol)``; appends to ``runs`` its evaluations and its cap, even when it raises.
 
     The cap is the a priori plan of ``c``, held to the step budget, plus
-    the evaluation a rejected candidate spent.
+    one evaluation for each rejected candidate.
     """
     points = []
     plan = seqfix.solver._plan_length(c, c, abs(d(t) - t), tol)
@@ -339,6 +340,16 @@ def test_truncation_study_stops_early_under_an_over_budget_plan():
     assert runs[0][0] < 20
 
 
+def test_truncation_study_needs_a_sup_certificate():
+    # a valid power certificate of the same map: its q and lip are no sup-family constants, so no bound follows
+    cert = find_p_certificate(README_MAP, 0.5)
+    assert (cert.p, cert.q, cert.lip) == (1.0, 0.5, 1.0 / 3.0)
+    runs = []
+    with pytest.raises(ValueError, match="^truncation_study needs a SupCertificate, got PCertificate$"):
+        counted_study(runs, README_MAP, cert, 0.0, 3, 1e-6)
+    assert runs == []
+
+
 def sine_fixed_point(a, b):
     """The fixed point of t -> a·sin(t) + b for |a| < 1, bisected down to adjacent floats."""
     lo, hi = b - abs(a), b + abs(a)
@@ -354,7 +365,7 @@ def sine_fixed_point(a, b):
 @given(st.floats(min_value=-0.99, max_value=0.99), st.floats(min_value=-100.0, max_value=100.0),
        st.floats(min_value=-100.0, max_value=100.0), st.floats(min_value=0.0, max_value=0.5),
        st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]))
-# a rejected candidate, then plain steps up to the cap, which counts the evaluation the candidate spent
+# two rejected candidates, each adding an evaluation to the cap; extrapolation resumes and stops the run early
 @example(0.9600233878090692, -15.52270805373108, 28.03502489479925, 0.0, 1e-12)
 def test_steffensen_steps_keep_the_promise_on_sine_maps(a, b, t0, slack, tol):
     # any c from |a| up is a valid constant, so a BoundViolationError fails the test
@@ -371,13 +382,25 @@ def test_steffensen_steps_keep_the_promise_on_sine_maps(a, b, t0, slack, tol):
     assert calls <= cap
 
 
-def test_a_rejected_candidate_spends_one_evaluation_past_the_plan():
-    # the Aitken point of the first cycle lands where the sine bends away; plain steps then run to the cap
+def test_extrapolation_resumes_after_a_rejected_candidate():
+    # the Aitken point of the first cycle lands where the sine bends away; a later cycle's candidates stop the run
     a, b = 0.9600233878090692, -15.52270805373108
     points = []
     value = _diagonal_fixed_point(recorded(lambda t: a * math.sin(t) + b, points), 28.03502489479925, a, 1e-12)
-    assert rejected_candidates(points) == 1
-    assert len(points) == 850 == seqfix.solver._plan_length(a, a, abs(points[0][1] - points[0][0]), 1e-12) + 1
+    assert rejected_candidates(points) == 2
+    assert len(points) == 9 < seqfix.solver._plan_length(a, a, abs(points[0][1] - points[0][0]), 1e-12) == 849
+    assert abs(value - sine_fixed_point(a, b)) <= 1e-12
+
+
+def test_a_run_that_reaches_its_cap_returns_the_enclosure_midpoint():
+    # the steps stall near 1 ulp, above what the stop needs, so the whole plan runs
+    a, b = 0.9307865697977322, -70.64001346037108
+    points = []
+    value = _diagonal_fixed_point(recorded(lambda t: a * math.sin(t) + b, points), 97.0022862328907, a, 1e-12)
+    assert rejected_candidates(points) == 0
+    assert len(points) == seqfix.solver._plan_length(a, a, abs(points[0][1] - points[0][0]), 1e-12) == 494
+    prev, t = points[-1]
+    assert value == t + math.copysign(a * a * abs(t - prev) / (1.0 - a * a), t - prev) != t
     assert abs(value - sine_fixed_point(a, b)) <= 1e-12
 
 
