@@ -104,9 +104,12 @@ class SeqMap(ABC):
         return FiniteArityMap(n, rule, hint if hint < math.inf else None)
 
     def _check_domain(self, x: BoundedSeq) -> None:
+        self._check_values(x.values())
+
+    def _check_values(self, values: Iterable[float]) -> None:
         if self.domain is not None:
             lo, hi = self.domain
-            for v in x.values():
+            for v in values:
                 if not lo <= v <= hi:
                     raise ValueError(f"coordinate {v!r} outside map domain [{lo}, {hi}]")
 
@@ -345,6 +348,28 @@ class SupHalfMap(SeqMap):
         self._check_domain(x)
         return 0.5 * max(x.values())
 
+    def diagonal(self, t: float) -> float:
+        """``0.5 * t`` once ``t`` is checked finite and in the domain, as :meth:`eval` checks it."""
+        t = ensure_finite(t, "tail")
+        self._check_values((t,))
+        return 0.5 * t
+
+    def iterates(self, x0: BoundedSeq) -> Iterator[float]:
+        """``v_k = 0.5 * max(v_(k-1), M)``, O(1) per value, with M the maximum of the start's values.
+
+        The start's domain is checked once, at the first value: every value
+        after it lies in [0, 0.5], and the running maximum of the lifted
+        sequence stays M. ``max`` keeps its first argument on a tie, as
+        the default's scan meets the newest value first, so a signed zero
+        comes out as the default gives it.
+        """
+        self._check_domain(x0)
+        top = max(x0.values())
+        value = 0.5 * top
+        while True:
+            yield value
+            value = 0.5 * max(value, top)
+
     def lip_sup(self, q: float) -> float:
         """1/2 for the plain sup distance (q = 1); ``inf`` for every q < 1."""
         return 0.5 if ensure_weight(q, closed=True) == 1.0 else math.inf
@@ -404,6 +429,11 @@ class EmbeddedMap(SeqMap):
 
     def eval(self, x: BoundedSeq) -> float:
         return self.finite_map(*x.head(self.finite_map.arity))
+
+    def diagonal(self, t: float) -> float:
+        """The finite map at (t, ..., t), what :meth:`eval` reads from the constant sequence, bit for bit."""
+        t = ensure_finite(t, "tail")
+        return self.finite_map(*(t,) * self.arity)
 
     def iterates(self, x0: BoundedSeq) -> Iterator[float]:
         """The finite map's window loop from ``x0.head(m)``, O(m) per value.

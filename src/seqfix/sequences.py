@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 
@@ -31,7 +31,7 @@ def ensure_count(value: int, what: str, least: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundedSeq:
     """A real sequence equal to ``tail`` from index ``len(prefix)`` on.
 
@@ -44,11 +44,12 @@ class BoundedSeq:
     prefix: tuple[float, ...] = ()
     tail: float = 0.0
 
-    def __post_init__(self) -> None:
-        entries = tuple(map(float, self.prefix))
+    def __init__(self, prefix: Iterable[float] = (), tail: float = 0.0) -> None:
+        """Convert each entry to float, check it is finite, trim the prefix, and set each field once."""
+        entries = tuple(map(float, prefix))
         if not all(map(math.isfinite, entries)):  # check again, entry by entry, to name the first bad one
             entries = tuple(ensure_finite(v, "sequence entry") for v in entries)
-        tail = ensure_finite(self.tail, "tail")
+        tail = ensure_finite(tail, "tail")
         n = len(entries)
         while n > 0 and entries[n - 1] == tail:
             n -= 1

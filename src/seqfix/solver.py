@@ -153,8 +153,12 @@ def generalized_iterates(
     Each step records the residual |f(t, t, ...) - t| at the new value; with
     a certificate, the a priori error bound is recorded as well (computed
     from the displacement between the first lifted sequence and the start).
+    Step k of the default lifted iteration reads a sequence of about k
+    coordinates, so a ``k_max`` whose lengths 1 + ... + k_max sum to more
+    than :data:`_STEP_BUDGET` is refused before any lift.
     """
     k_max = ensure_count(k_max, "k_max", 1)
+    _check_quadratic_work(k_max, "k_max", "lifted sequence lengths")
     values, lifted = _lifted_iterates(f, x0)
     d1 = cert.gap(lifted, x0) if cert is not None else None
     steps = tuple(TraceStep(k, v, None if cert is None else cert.a_priori_bound(k, d1), abs(f.diagonal(v) - v))
@@ -256,6 +260,12 @@ def sup_certificate_from_p(cert: PCertificate) -> SupCertificate | None:
 
 #: the most steps a plan may ask for: a longer one is refused before iterating, since it would not end in time
 _STEP_BUDGET = 10**6
+
+
+def _check_quadratic_work(count: int, what: str, summed: str) -> None:
+    """Refuse a count whose work 1 + 2 + ... + count, n steps of O(n) each, is over :data:`_STEP_BUDGET`."""
+    if (work := count * (count + 1) // 2) > _STEP_BUDGET:
+        raise ValueError(f"{what} {count} makes the {summed} sum to {work}, more than the step budget {_STEP_BUDGET}")
 
 
 def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
@@ -566,8 +576,7 @@ def truncation_study(
     if not isinstance(cert, SupCertificate):
         raise ValueError(f"truncation_study needs a SupCertificate, got {type(cert).__name__}")
     n_max = ensure_count(n_max, "n_max", 1)
-    if (arities := n_max * (n_max + 1) // 2) > _STEP_BUDGET:
-        raise ValueError(f"n_max {n_max} makes the arities sum to {arities}, more than the step budget {_STEP_BUDGET}")
+    _check_quadratic_work(n_max, "n_max", "arities")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     base = ensure_finite(base, "base point")

@@ -609,6 +609,22 @@ def test_truncate_over_the_step_budget_exits_2(tmp_path):
     assert not (tmp_path / "out" / "wide.csv").exists()
 
 
+def test_trace_and_compare_over_the_step_budget_exit_2(tmp_path, capsys):
+    # 1 + ... + 1414 = 1,000,405 lifted coordinates: both modes are refused before their first lift
+    config = write_config(tmp_path, [problem("deep", "trace", k_max=1414),
+                                     problem("deep-compare", "compare", map={"sup_half": {}}, k_max=1414)])
+    assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
+    over = "k_max 1414 makes the lifted sequence lengths sum to 1000405, more than the step budget 1000000\n"
+    assert capsys.readouterr().out == f"deep trace FAILED {over}deep-compare compare FAILED {over}"
+    assert not (tmp_path / "out" / "deep.csv").exists()
+    assert not (tmp_path / "out" / "deep-compare.csv").exists()
+    # 1413 fits the budget
+    config = write_config(tmp_path, [problem("half", "compare", map={"sup_half": {}},
+                                             initial={"prefix": [0.6, 0.2], "tail": 0.9}, k_max=1413)])
+    assert run(config, str(tmp_path / "out")) == EXIT_OK
+    assert len((tmp_path / "out" / "half.csv").read_text().splitlines()) == 1 + 1414  # header, then k = 0 .. 1413
+
+
 def test_truncate_with_an_overflowing_reference_exits_2(tmp_path, capsys):
     # the diagonal 0.5·t + 1e308 has its fixed point at 2e308, past the largest float
     huge = {"linear": {"head_coeffs": [0.5], "offset": 1e308}}

@@ -1,15 +1,17 @@
-"""The SeqMap protocol: lip_sup and lip_p, differences and witnesses.
+"""The SeqMap protocol: lip_sup and lip_p, differences and witnesses, and the overrides of its defaults.
 
 The solver certifies any map through the first two methods: a sup
 certificate sits at the crossing weight q where ``lip_sup(q)`` falls to q,
 and that q is the certificate's step factor. The empirical lower bound
-tests a constant through the last two.
+tests a constant through the next two. A built-in override of
+``diagonal`` or ``iterates`` gives the default's values bit for bit.
 """
 
 import math
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqfix import (
@@ -28,6 +30,7 @@ from seqfix import (
     sup_certificate_from_p,
     truncate,
 )
+from seqfix import maps
 from seqfix.solver import _smallest_k
 
 ZERO = BoundedSeq.constant(0.0)
@@ -211,3 +214,72 @@ def test_sup_weight_of_hints_that_round_to_one_never_raises(hint):
         if cert is not None:
             assert cert.lip == f.lip_sup(cert.q) <= cert.q < 1.0
     assert find_sup_certificate(embed_finite(FiniteArityMap(3, lambda *a: a[0], 1.0 - 2.0**-53))) is None
+
+
+def affine_rule(coeffs, offset):
+    def rule(*args):
+        acc = offset
+        for c, a in zip(coeffs, args):
+            acc += c * a
+        return acc
+
+    return rule
+
+
+#: affine embedded maps whose coefficients may exceed 1, so their values can overflow
+affine_embedded_maps = st.integers(min_value=1, max_value=4).flatmap(lambda m: st.builds(
+    lambda coeffs, offset: embed_finite(FiniteArityMap(m, affine_rule(coeffs, offset))),
+    st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=m, max_size=m),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-2.0, max_value=2.0)),
+))
+#: signed zeros, the least subnormal, the domain's edge, points outside [0, 1] and the ends of the float range
+points = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 1.5, -0.5, 1e308, -1e308]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=-2.0, max_value=2.0),
+)
+
+
+def first_values(make, n=60):
+    """The first ``n`` values of ``make()`` in hex, the text of a ``ValueError`` in the place where one is raised."""
+    out = []
+    try:
+        for v in islice(make(), n):
+            out.append(v.hex())
+    except ValueError as e:
+        out.append(f"ValueError: {e}")
+    return out
+
+
+def unsigned_zeros(hexes):
+    return ["0x0.0p+0" if h == "-0x0.0p+0" else h for h in hexes]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(linear_maps, st.just(SupHalfMap()), affine_embedded_maps), st.lists(points, max_size=5),
+       st.one_of(points, st.sampled_from([math.nan, math.inf, -math.inf])))
+@example(SupHalfMap(), [], -0.0)
+@example(SupHalfMap(), [0.0], -0.0)
+@example(SupHalfMap(), [-0.0, 0.0], 5e-324)
+@example(SupHalfMap(), [0.25, 1.0], 0.5)
+@example(SupHalfMap(), [0.25, 1.5], 0.5)
+@example(SupHalfMap(), [0.5], math.nan)
+@example(embed_finite(FiniteArityMap(1, affine_rule([-0.5], 0.0))), [], 0.0)
+@example(embed_finite(FiniteArityMap(2, affine_rule([1.5, 1.5], 0.0))), [1e308], 1e308)
+def test_every_built_in_override_gives_the_protocol_default_bit_for_bit(f, prefix, t):
+    assert first_values(lambda: (f.diagonal(t),)) == first_values(lambda: (SeqMap.diagonal(f, t),))
+    if not math.isfinite(t):  # a start holds finite values only
+        return
+    x0 = BoundedSeq(tuple(prefix), t)
+    ours, default = first_values(lambda: f.iterates(x0)), first_values(lambda: SeqMap.iterates(f, x0))
+    if isinstance(f, maps.EmbeddedMap):
+        # the window keeps each value's sign of zero; the default's prepend trims a -0.0 that equals a 0.0 tail
+        ours, default = unsigned_zeros(ours), unsigned_zeros(default)
+    assert ours == default
+
+
+def test_the_override_property_covers_every_built_in_override():
+    overriding = {name for name, cls in vars(maps).items()
+                  if isinstance(cls, type) and issubclass(cls, SeqMap) and cls is not SeqMap
+                  and {"diagonal", "iterates"} & vars(cls).keys()}
+    assert overriding == {"LinearSeqMap", "SupHalfMap", "EmbeddedMap"}

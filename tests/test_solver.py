@@ -258,6 +258,27 @@ def test_solve_fixed_point_recursion_map():
     assert sol.trace.steps[-1].residual <= 1e-6 * (1.0 - 8.0 / 9.0)
 
 
+def test_a_residual_that_fills_the_room_does_not_stop_the_solve():
+    # the stop needs residual + δ <= tol·(1 - c); at tol = residual_k / (1 - c), step k leaves no room for δ
+    c = RECUR_CERT.diagonal_lip()
+    for k in (20, 40, 50):
+        residual = generalized_iterates(RECUR, ZERO, k, RECUR_CERT).steps[-1].residual
+        tol = residual / (1.0 - c)
+        assert tol * (1.0 - c) == residual
+        sol = solve_fixed_point(RECUR, ZERO, RECUR_CERT, tol)
+        assert sol.k_used == k + 1
+        assert abs(sol.value - RECUR.fixed_point()) <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_solve_with_a_power_certificate_meets_its_tolerance(tol):
+    # the diagonal constant of PCertificate(1, 0.5, 1/3) is (1/3)/(1 - 0.5) = 2/3; the stop's room is tol·(1 - 2/3)
+    cert = find_p_certificate(RECUR, 0.5)
+    assert cert == PCertificate(1.0, 0.5, 1.0 / 3.0)
+    sol = solve_fixed_point(RECUR, ZERO, cert, tol)
+    assert abs(sol.value - RECUR.fixed_point()) <= tol
+
+
 def test_solve_fixed_point_constant_map():
     f = LinearSeqMap(offset=7.0)
     sol = solve_fixed_point(f, ZERO, SupCertificate(0.5, 0.0), 1e-9)
@@ -408,6 +429,9 @@ def test_reduce_general_weights():
     got_p = reduce_general_weights(1.0, 0.5, 0.4, p=1.0)
     assert got_p == PCertificate(1.0, 0.5, 0.4)
     assert reduce_general_weights(1.0, 0.5, 0.6, p=1.0) is None
+    # a zero constant is a valid one
+    assert reduce_general_weights(1.0, 0.5, 0.0) == SupCertificate(0.5, 0.0)
+    assert reduce_general_weights(1.0, 0.5, 0.0, p=2.0) == PCertificate(2.0, 0.5, 0.0)
     with pytest.raises(ValueError):
         reduce_general_weights(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
@@ -646,22 +670,52 @@ COUNTS = [
 NOT_COUNTS = [2.0, 2.5, "2", None]
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: generalized_iterates(RECUR, ZERO, 0), r"^k_max must be an integer >= 1, got 0$"),
-    (lambda: secelean_iterates(RECUR, ZERO, -1), r"^k_max must be an integer >= 0, got -1$"),
-    (lambda: presic_iterates(FiniteArityMap(1, lambda a: 0.5 * a), (0.0,), -1),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: generalized_iterates(RECUR, ZERO, 0), ValueError, r"^k_max must be an integer >= 1, got 0$"),
+    (lambda: secelean_iterates(RECUR, ZERO, -1), ValueError, r"^k_max must be an integer >= 0, got -1$"),
+    (lambda: presic_iterates(FiniteArityMap(1, lambda a: 0.5 * a), (0.0,), -1), ValueError,
      r"^k_max must be an integer >= 0, got -1$"),
-    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 0, 1e-6), r"^n_max must be an integer >= 1, got 0$"),
-    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 3, 0.0), r"^tolerance must be positive, got 0\.0$"),
-    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 3, -1e-6), r"^tolerance must be positive, got -1e-06$"),
-    (lambda: reduce_general_weights(1.0, 0.5, -0.1), r"^lip must be nonnegative, got -0\.1$"),
-] + [(partial(call, v), f"^{name} must be an integer >= {least}, got {re.escape(repr(v))}$")
+    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 0, 1e-6), ValueError, r"^n_max must be an integer >= 1, got 0$"),
+    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 3, 0.0), ValueError, r"^tolerance must be positive, got 0\.0$"),
+    (lambda: truncation_study(RECUR, RECUR_CERT, 0.0, 3, -1e-6), ValueError,
+     r"^tolerance must be positive, got -1e-06$"),
+    (lambda: reduce_general_weights(1.0, 0.5, -0.1), ValueError, r"^lip must be nonnegative, got -0\.1$"),
+    # the edge values themselves: each check is a strict inequality
+    (lambda: solve_fixed_point(RECUR, ZERO, RECUR_CERT, 0.0), ValueError, r"^tolerance must be positive, got 0\.0$"),
+    (lambda: secelean_iterates(RECUR, ZERO, 3, lip=1.0), UncertifiedMapError,
+     r"^diagonal iteration needs a sup-distance constant < 1, got 1\.0$"),
+    (lambda: reduce_general_weights(0.0, 0.5, 0.1), ValueError, r"^a0 must be positive, got 0\.0$"),
+] + [(partial(call, v), ValueError, f"^{name} must be an integer >= {least}, got {re.escape(repr(v))}$")
      for _, call, name, least in COUNTS for v in NOT_COUNTS],
     ids=["generalized-k-max", "secelean-k-max", "presic-k-max", "truncation-n-max", "truncation-zero-tol",
-         "truncation-negative-tol", "reduce-negative-lip"] + [f"{case}-{v}" for case, *_ in COUNTS for v in NOT_COUNTS])
-def test_out_of_range_arguments_raise(call, message):
-    with pytest.raises(ValueError, match=message):
+         "truncation-negative-tol", "reduce-negative-lip", "solve-zero-tol", "secelean-unit-lip", "reduce-zero-a0"]
+    + [f"{case}-{v}" for case, *_ in COUNTS for v in NOT_COUNTS])
+def test_out_of_range_arguments_raise(call, error, message):
+    with pytest.raises(error, match=message):
         call()
+
+
+class Unliftable(SeqMap):
+    """A map whose every evaluation fails the test: a refused count must come before the first lift."""
+
+    def eval(self, x):
+        raise AssertionError("the map was evaluated")
+
+
+def test_k_max_over_the_step_budget_is_refused_before_any_lift(monkeypatch):
+    over = r"^k_max 1414 makes the lifted sequence lengths sum to 1000405, more than the step budget 1000000$"
+    with pytest.raises(ValueError, match=over) as caught:
+        generalized_iterates(Unliftable(), ZERO, 1414)
+    assert not isinstance(caught.value, BoundViolationError)
+    # 1413 lifts fit: 1 + ... + 1413 = 998,991
+    assert len(generalized_iterates(SupHalfMap(), BoundedSeq((0.6, 0.2), 0.9), 1413).steps) == 1413
+    # 1 + ... + 4 = 10 fits a budget of 10, and 1 + ... + 5 does not
+    monkeypatch.setattr("seqfix.solver._STEP_BUDGET", 10)
+    with pytest.raises(AssertionError, match="evaluated"):
+        generalized_iterates(Unliftable(), ZERO, 4)
+    with pytest.raises(ValueError, match=r"^k_max 5 makes the lifted sequence lengths sum to 15, "
+                                         r"more than the step budget 10$"):
+        generalized_iterates(Unliftable(), ZERO, 5)
 
 
 def test_truncation_study_over_the_step_budget_is_refused_before_any_evaluation(monkeypatch):

@@ -201,7 +201,7 @@ def test_presic_matches_embedded_iterates_bit_for_bit(case, tail):
     start = BoundedSeq(tuple(reversed(seeds)), tail)
     # canonical trimming turns a trailing -0.0 into the tail's 0.0; such a start reads other seeds
     assume(bits(start.head(g.arity)) == bits(reversed(seeds)))
-    k_max = max(k_max, 1)
+    k_max = min(max(k_max, 1), 1413)  # 1413 is the largest k_max within the step budget
     trace = generalized_iterates(embed_finite(g), start, k_max)
     assert bits(s.value for s in trace.steps) == bits(presic_iterates(g, tuple(seeds), k_max))
 
@@ -393,15 +393,23 @@ def test_extrapolation_resumes_after_a_rejected_candidate():
 
 
 def test_a_run_that_reaches_its_cap_returns_the_enclosure_midpoint():
-    # the steps stall near 1 ulp, above what the stop needs, so the whole plan runs
-    a, b = 0.9307865697977322, -70.64001346037108
-    points = []
-    value = _diagonal_fixed_point(recorded(lambda t: a * math.sin(t) + b, points), 97.0022862328907, a, 1e-12)
-    assert rejected_candidates(points) == 0
-    assert len(points) == seqfix.solver._plan_length(a, a, abs(points[0][1] - points[0][0]), 1e-12) == 494
-    prev, t = points[-1]
-    assert value == t + math.copysign(a * a * abs(t - prev) / (1.0 - a * a), t - prev) != t
-    assert abs(value - sine_fixed_point(a, b)) <= 1e-12
+    # the steps stall near 1 ulp, above what the stop needs, so the whole plan runs, plus one evaluation for
+    # each rejected candidate. In the second run the last step goes up from a negative value, so t - prev and
+    # t + prev, the midpoint's direction, differ in sign; the third rejects two Aitken points early on.
+    for a, b, start, plan, rejected, apart in [
+        (0.9307865697977322, -70.64001346037108, 97.0022862328907, 494, 0, False),
+        (0.9652293426284546, 60.59700651168035, -33.36688592328734, 1004, 0, True),
+        (0.9314741230059798, -87.3068026625083, 73.23450933788877, 499, 2, False),
+    ]:
+        points = []
+        value = _diagonal_fixed_point(recorded(lambda t: a * math.sin(t) + b, points), start, a, 1e-12)
+        assert rejected_candidates(points) == rejected
+        assert seqfix.solver._plan_length(a, a, abs(points[0][1] - points[0][0]), 1e-12) == plan
+        assert len(points) == plan + rejected
+        prev, t = points[-1]
+        assert ((t - prev > 0.0) != (t + prev > 0.0)) == apart
+        assert value == t + math.copysign(a * a * abs(t - prev) / (1.0 - a * a), t - prev) != t
+        assert abs(value - sine_fixed_point(a, b)) <= 1e-12
 
 
 def is_plain_chain(points):
