@@ -170,11 +170,36 @@ class LinearSeqMap(SeqMap):
         """Sum of |b_n|; equals the Lipschitz constant for the plain sup distance."""
         return sum(abs(b) for b in self.head_coeffs) + abs(self.tail_coeff) / (1.0 - abs(self.tail_ratio))
 
+    def _live_terms(self, m: int) -> int:
+        """How many of the first ``m`` coefficients can be nonzero.
+
+        With a zero tail coefficient, the N head coefficients; with a zero
+        tail ratio, one more, since b_(N+j) = ``tail_coeff * 0.0**j`` is zero
+        for j >= 1; otherwise all ``m``. The coefficients past these are
+        signed zeros.
+        """
+        n = len(self.head_coeffs)
+        if self.tail_coeff == 0.0:
+            return min(m, n)
+        if self.tail_ratio == 0.0:
+            return min(m, n + 1)
+        return m
+
     def eval(self, x: BoundedSeq) -> float:
+        """``offset + sum_n b_n x_n``: the prefix terms left to right, then the tail in closed form.
+
+        Only the prefix within :meth:`_live_terms` is read while the sum is
+        nonzero. The terms past it are signed zeros, which leave a nonzero
+        sum as it is but can turn -0.0 into 0.0, so a zero sum reads them all.
+        """
         m = len(x.prefix)
+        live = self._live_terms(m)
         acc = self.offset
-        for n in range(m):
+        for n in range(live):
             acc += self.coeff_at(n) * x.prefix[n]
+        if acc == 0.0:
+            for n in range(live, m):
+                acc += self.coeff_at(n) * x.prefix[n]
         return acc + x.tail * self.tail_sum_from(m)
 
     def diagonal(self, t: float) -> float:
@@ -189,15 +214,22 @@ class LinearSeqMap(SeqMap):
         is the same number algebraically but keeps full relative precision.
         The coefficients and tail sums the pairs read are built once per
         call, and each pair is summed left to right, then its tail added.
+        Only the coordinates within :meth:`_live_terms` are summed: past it each
+        term is a signed zero, which ``abs`` cannot tell from its sum, unless
+        a_n - b_n overflows, where the term is 0.0 * inf, NaN.
         """
         spans = [max(len(a.prefix), len(b.prefix)) for a, b in pairs]
-        coeffs = tuple(map(self.coeff_at, range(max(spans, default=0))))
+        live = self._live_terms(max(spans, default=0))
+        coeffs = tuple(map(self.coeff_at, range(live)))
         tails = {m: self.tail_sum_from(m) for m in set(spans)}
         out = []
         for (a, b), m in zip(pairs, spans):
+            xs, ys = a.head(m), b.head(m)
             acc = 0.0
-            for c, u, v in zip(coeffs, a.head(m), b.head(m)):
+            for c, u, v in zip(coeffs, xs, ys):
                 acc += c * (u - v)
+            if m > live and any(math.isinf(u - v) for u, v in zip(xs[live:], ys[live:])):
+                acc = math.nan
             out.append(abs(acc + (a.tail - b.tail) * tails[m]))
         return out
 
@@ -254,7 +286,8 @@ class LinearSeqMap(SeqMap):
         coordinates add nothing, where the default hint ``lip_sup(1.0)``
         sums every |b_k|.
         """
-        return FiniteArityMap(n, super().truncation(n, base).rule, sum(abs(self.coeff_at(k)) for k in range(n)))
+        hint = sum((abs(self.coeff_at(k)) for k in range(self._live_terms(n))), 0.0)
+        return FiniteArityMap(n, super().truncation(n, base).rule, hint)
 
     def lip_sup(self, q: float) -> float:
         """Lipschitz constant for the q-weighted sup distance: sum_n |b_n| / q**n.

@@ -21,6 +21,7 @@ from seqfix import (
     empirical_lip_lower_bound,
     find_p_certificate,
     find_sup_certificate,
+    solve_fixed_point,
     truncate,
 )
 from seqfix.maps import _lip_lower_bounds, _random_seq
@@ -138,6 +139,96 @@ def test_linear_diagonal_is_eval_on_the_constant_sequence_bit_for_bit(head, tail
     assert ours == hex_or_error(lambda v: f.eval(BoundedSeq.constant(v)), t)
     if not math.isfinite(t):
         assert ours == f"tail must be finite, got {t!r}"
+
+
+def full_loop_eval(f, x):
+    """``f.eval(x)`` through every prefix coordinate's ``coeff_at``, left to right, then the tail."""
+    m = len(x.prefix)
+    acc = f.offset
+    for n in range(m):
+        acc += f.coeff_at(n) * x.prefix[n]
+    return acc + x.tail * f.tail_sum_from(m)
+
+
+def full_loop_differences(f, pairs):
+    """``f.differences(pairs)`` through every prefix coordinate's ``coeff_at``, pair by pair."""
+    out = []
+    for a, b in pairs:
+        m = max(len(a.prefix), len(b.prefix))
+        acc = 0.0
+        for n, (u, v) in enumerate(zip(a.head(m), b.head(m))):
+            acc += f.coeff_at(n) * (u - v)
+        out.append(abs(acc + (a.tail - b.tail) * f.tail_sum_from(m)))
+    return out
+
+
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+ENTRIES = st.one_of(SIGNED_ZERO, st.sampled_from([1.0, -1.0, 1e308, -1e308]), FINITE)
+SEQUENCES = st.builds(BoundedSeq, st.one_of(st.lists(ENTRIES, max_size=8), st.lists(ENTRIES, max_size=300)), ENTRIES)
+
+
+@st.composite
+def vanishing_tail_maps(draw):
+    """A zero tail coefficient, or a zero ratio under a nonzero one, or else a tailed control; heads of 0-8."""
+    head = tuple(draw(st.lists(st.one_of(SIGNED_ZERO, st.floats(-1.0, 1.0), FINITE), max_size=8)))
+    nonzero_tail = FINITE.filter(lambda b: b != 0.0)
+    tail, ratio = draw(st.one_of(
+        st.tuples(SIGNED_ZERO, st.floats(-0.999, 0.999)),
+        st.tuples(nonzero_tail, SIGNED_ZERO),
+        st.tuples(nonzero_tail, st.floats(-0.999, 0.999).filter(lambda r: r != 0.0)),
+    ))
+    return LinearSeqMap(head, tail, ratio, draw(st.one_of(SIGNED_ZERO, FINITE)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vanishing_tail_maps(), SEQUENCES, SEQUENCES)
+@example(LinearSeqMap((-0.5,), 0.0, 0.0, -0.0), BoundedSeq((0.0, 1.0), -1.0), BoundedSeq())  # -0.0 + 0.0 is 0.0
+@example(LinearSeqMap((0.5,)), BoundedSeq((0.0, 1e308)), BoundedSeq((0.0, -1e308)))  # 0.0 * (1e308 + 1e308) is NaN
+def test_a_vanishing_tail_reads_the_head_and_keeps_every_bit(f, x, y):
+    for z in (x, y):
+        assert f.eval(z).hex() == full_loop_eval(f, z).hex()
+    pairs = [(x, y), (y, x), (x, x)]
+    assert [d.hex() for d in f.differences(pairs)] == [d.hex() for d in full_loop_differences(f, pairs)]
+
+
+class CoeffCountingMap(LinearSeqMap):
+    """A linear map that counts its ``coeff_at`` calls."""
+
+    calls = 0
+
+    def coeff_at(self, n):
+        CoeffCountingMap.calls += 1
+        return super().coeff_at(n)
+
+
+@pytest.mark.parametrize("head, tail, ratio, offset, calls", [
+    ((0.49, 0.49), 0.0, 0.0, 1.0, 2),  # the zero tail coefficient leaves the head
+    ((0.5,), 0.25, 0.0, 0.0, 2),  # the zero ratio leaves the head and the first tail coefficient
+    ((0.5,), 0.25, 0.5, 0.0, 2000),  # a tail reaches every coordinate
+])
+def test_eval_calls_coeff_at_only_where_a_coefficient_can_be_nonzero(monkeypatch, head, tail, ratio, offset, calls):
+    monkeypatch.setattr(CoeffCountingMap, "calls", 0)
+    f = CoeffCountingMap(head, tail, ratio, offset)
+    x = BoundedSeq(tuple(float(n + 1) for n in range(2000)), 0.0)
+    value = f.eval(x)
+    assert CoeffCountingMap.calls == calls
+    assert value.hex() == full_loop_eval(LinearSeqMap(head, tail, ratio, offset), x).hex()
+
+
+class FullLoopMap(LinearSeqMap):
+    """A linear map that evaluates through every prefix coordinate."""
+
+    def eval(self, x):
+        return full_loop_eval(self, x)
+
+
+def test_a_zero_tail_solve_is_the_full_loop_solve_bit_for_bit():
+    f, full = LinearSeqMap((0.49, 0.49), offset=1.0), FullLoopMap((0.49, 0.49), offset=1.0)
+    cert = find_sup_certificate(f)
+    ours, theirs = (solve_fixed_point(g, BoundedSeq.constant(0.0), cert, 1e-9) for g in (f, full))
+    assert (ours.value.hex(), ours.k_used) == (theirs.value.hex(), theirs.k_used)
+    assert ours.k_used == 1861
+    assert [s.value.hex() for s in ours.trace.steps] == [s.value.hex() for s in theirs.trace.steps]
 
 
 def test_coefficient_sums():

@@ -459,6 +459,42 @@ def test_residual_above_the_roundoff_floor_is_still_a_violation():
         solve_fixed_point(f, ZERO, SupCertificate(0.5, 0.01), 1e-17)
 
 
+@pytest.mark.parametrize("start, outcome", [
+    (0.02, "returns"),  # residual above tol, within the allowance
+    (0.020634920634921, "below resolution"),  # residual within the slack, 2.375δ above the allowance
+    (0.022, "violation"),  # residual above the allowance plus slack
+])
+def test_the_at_cap_allowance_separates_a_return_from_roundoff_and_a_violation(start, outcome):
+    # t -> 0.9·t under a certificate claiming 0.3: from each start the plan is one step, the cap, and the
+    # residual there, 0.09·start, lands in its band; a slack cut to 2δ or less would call the middle band a
+    # violation, and an allowance cut to tol would refuse the first
+    f = embed_finite(FiniteArityMap(1, lambda t: 0.9 * t))
+    cert, tol, c = SupCertificate(0.3, 0.3), 1e-3, 0.3
+    x0 = BoundedSeq.constant(start)
+    v = 0.9 * start
+    residual = abs(0.9 * v - v)
+    delta = _ROUNDOFF_ULPS * math.ulp(v)
+    allowance = tol * (1.0 + c) / (1.0 - c)
+    slack = (1.0 + c) * delta / (1.0 - cert.step_factor()) + delta
+    assert {
+        "returns": tol < residual <= allowance,
+        "below resolution": allowance + 2.0 * delta < residual <= allowance + slack,
+        "violation": allowance + slack < residual,
+    }[outcome]
+    assert _smallest_k(cert, dist_sup_geom(x0.prepend(v), x0, cert.q), tol) == 1
+    run = partial(solve_fixed_point, f, x0, cert, tol)
+    if outcome == "returns":
+        solution = run()
+        assert (solution.value, solution.k_used) == (v, 1)
+    elif outcome == "below resolution":
+        with pytest.raises(ValueError, match=r"below float resolution: roundoff blocks the stop$") as caught:
+            run()
+        assert not isinstance(caught.value, BoundViolationError)
+    else:
+        with pytest.raises(BoundViolationError, match="^terminal residual .* exceeds certified allowance"):
+            run()
+
+
 def test_nan_residual_is_a_bound_violation():
     class NanDiagonal(SeqMap):
         """A map whose diagonal reads NaN everywhere: no residual of it can pass the terminal check."""
