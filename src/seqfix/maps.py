@@ -103,15 +103,13 @@ class SeqMap(ABC):
         hint = self.lip_sup(1.0)
         return FiniteArityMap(n, rule, hint if hint < math.inf else None)
 
-    def _check_domain(self, x: BoundedSeq) -> None:
-        self._check_values(x.values())
-
-    def _check_values(self, values: Iterable[float]) -> None:
+    def _check_values(self, values: Iterable[float], what: str = "coordinate") -> None:
+        """Raise ``ValueError`` at the first value outside :attr:`domain`, naming it as ``what``."""
         if self.domain is not None:
             lo, hi = self.domain
             for v in values:
                 if not lo <= v <= hi:
-                    raise ValueError(f"coordinate {v!r} outside map domain [{lo}, {hi}]")
+                    raise ValueError(f"{what} {v!r} outside map domain [{lo}, {hi}]")
 
 
 def lift_step(f: SeqMap, x: BoundedSeq) -> tuple[float, BoundedSeq]:
@@ -214,9 +212,10 @@ class LinearSeqMap(SeqMap):
         is the same number algebraically but keeps full relative precision.
         The coefficients and tail sums the pairs read are built once per
         call, and each pair is summed left to right, then its tail added.
-        Only the coordinates within :meth:`_live_terms` are summed: past it each
-        term is a signed zero, which ``abs`` cannot tell from its sum, unless
-        a_n - b_n overflows, where the term is 0.0 * inf, NaN.
+        No coordinate past :meth:`_live_terms` is read, and a tail whose sum
+        is zero adds nothing. Each such term is a signed zero, which ``abs``
+        cannot tell from the sum; read, it would be 0.0 * inf, NaN, where
+        its difference overflows.
         """
         spans = [max(len(a.prefix), len(b.prefix)) for a, b in pairs]
         live = self._live_terms(max(spans, default=0))
@@ -224,13 +223,10 @@ class LinearSeqMap(SeqMap):
         tails = {m: self.tail_sum_from(m) for m in set(spans)}
         out = []
         for (a, b), m in zip(pairs, spans):
-            xs, ys = a.head(m), b.head(m)
             acc = 0.0
-            for c, u, v in zip(coeffs, xs, ys):
+            for c, u, v in zip(coeffs, a.head(m), b.head(m)):
                 acc += c * (u - v)
-            if m > live and any(math.isinf(u - v) for u, v in zip(xs[live:], ys[live:])):
-                acc = math.nan
-            out.append(abs(acc + (a.tail - b.tail) * tails[m]))
+            out.append(abs(acc + (a.tail - b.tail) * tails[m] if tails[m] else acc))
         return out
 
     def witnesses(self, q: float, p: float | None) -> Iterator[BoundedSeq]:
@@ -378,7 +374,7 @@ class SupHalfMap(SeqMap):
     domain: ClassVar[tuple[float, float]] = (0.0, 1.0)
 
     def eval(self, x: BoundedSeq) -> float:
-        self._check_domain(x)
+        self._check_values(x.values())
         return 0.5 * max(x.values())
 
     def diagonal(self, t: float) -> float:
@@ -396,7 +392,7 @@ class SupHalfMap(SeqMap):
         the default's scan meets the newest value first, so a signed zero
         comes out as the default gives it.
         """
-        self._check_domain(x0)
+        self._check_values(x0.values())
         top = max(x0.values())
         value = 0.5 * top
         while True:
@@ -509,11 +505,7 @@ def truncate(f: SeqMap, n: int, base: float) -> FiniteArityMap:
     """
     n = ensure_count(n, "truncation arity", 1)
     base = ensure_finite(base, "base point")
-    if f.domain is not None:
-        lo, hi = f.domain
-        if not lo <= base <= hi:
-            raise ValueError(f"base point {base} outside map domain [{lo}, {hi}]")
-
+    f._check_values((base,), "base point")
     return f.truncation(n, base)
 
 

@@ -268,6 +268,12 @@ def _check_quadratic_work(count: int, what: str, summed: str) -> None:
         raise ValueError(f"{what} {count} makes the {summed} sum to {work}, more than the step budget {_STEP_BUDGET}")
 
 
+def _check_step_count(k_max: int) -> None:
+    """Refuse a ``k_max`` over :data:`_STEP_BUDGET`, for a loop whose steps do not grow with k."""
+    if k_max > _STEP_BUDGET:
+        raise ValueError(f"k_max {k_max} is more than the step budget {_STEP_BUDGET}")
+
+
 def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
     """Smallest iterate index whose a priori bound is at most tol.
 
@@ -490,8 +496,10 @@ def secelean_iterates(
     recorded bound is
     ``lip**(k+1) / (1 - lip) * max_i |f(x_i, x_i, ...) - x_i|``, a finite
     maximum because the start has finitely many distinct coordinates.
+    A ``k_max`` above :data:`_STEP_BUDGET` is refused before any step.
     """
     k_max = ensure_count(k_max, "k_max", 0)
+    _check_step_count(k_max)
     if lip is None:
         lip = f.lip_sup(1.0)
         if lip == math.inf:
@@ -519,11 +527,13 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
     value t with g(t, ..., t) = t. They are, bit for bit, the generalized
     iterates of the embedded map from any start whose first m coordinates
     are the reversed seeds: :meth:`EmbeddedMap.iterates` runs the same
-    window loop.
+    window loop. A ``k_max`` above :data:`_STEP_BUDGET` is refused before
+    any step.
     """
     if len(seeds) != g.arity:
         raise ValueError(f"expected {g.arity} seeds, got {len(seeds)}")
     k_max = ensure_count(k_max, "k_max", 0)
+    _check_step_count(k_max)
     window = tuple(reversed([ensure_finite(s, "seed") for s in seeds]))
     return list(islice(g.iterates(window), k_max))
 

@@ -1,0 +1,171 @@
+"""One-edit mutants of seqfix's promise-keeping code, each run against the tests that must kill it.
+
+Run from the repository root, with pytest and hypothesis installed::
+
+    python tests/mutants.py
+
+Each row of ``MUTANTS`` names a file under ``src/seqfix``, an exact piece
+of its source text, the text that replaces it, and the pytest node ids
+that must fail on the result. Every mutant runs in a fresh temporary copy
+of ``src``, ``tests`` and ``pyproject.toml``, with bytecode writing off, so
+no mutant reads another's cache. A failing run kills the mutant. The
+unmutated copy runs every listed test first, since a test that fails
+there kills nothing. The script prints one line per mutant, then a count,
+and exits 1 if the unmutated copy fails, a row's text is not found
+exactly once, or any mutant survives. It uses only the standard library
+and is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SOLVER, MAPS = "solver.py", "maps.py"
+AT_CAP = "tests/test_solver.py::test_the_at_cap_allowance_separates_a_return_from_roundoff_and_a_violation"
+OUT_OF_RANGE = "tests/test_solver.py::test_out_of_range_arguments_raise"
+CAPPED_RUN = "tests/test_truncation.py::test_a_run_that_reaches_its_cap_returns_the_enclosure_midpoint"
+
+#: (what it breaks, file, source text, its replacement, the tests that must kill it)
+MUTANTS = [
+    ("power certificate's diagonal constant divides by (1 + q)", SOLVER,
+     "return self.lip / (1.0 - self.q) ** (1.0 / self.p)",
+     "return self.lip / (1.0 + self.q) ** (1.0 / self.p)",
+     ["tests/test_solver.py::test_solve_with_a_power_certificate_meets_its_tolerance"]),
+    ("a rejected candidate shrinks the cap", SOLVER,
+     "(prev, t, step), cap = kept, cap + 1",
+     "(prev, t, step), cap = kept, cap - 1",
+     [CAPPED_RUN]),
+    ("the enclosure midpoint takes the sign of t + prev", SOLVER,
+     "math.copysign(c * c * step / (1.0 - c * c), t - prev)",
+     "math.copysign(c * c * step / (1.0 - c * c), t + prev)",
+     [CAPPED_RUN]),
+    ("the solve's stop subtracts the roundoff", SOLVER,
+     "if residual + roundoff <= room:",
+     "if residual - roundoff <= room:",
+     ["tests/test_solver.py::test_a_residual_that_fills_the_room_does_not_stop_the_solve"]),
+    ("solve_fixed_point takes tol = 0", SOLVER,
+     'if not tol > 0.0:\n        raise ValueError(f"tolerance must be positive, got {tol}")\n    values, lifted',
+     'if not tol >= 0.0:\n        raise ValueError(f"tolerance must be positive, got {tol}")\n    values, lifted',
+     [f"{OUT_OF_RANGE}[solve-zero-tol]"]),
+    ("secelean_iterates takes lip = 1", SOLVER,
+     "if not 0.0 <= lip < 1.0:\n        raise UncertifiedMapError",
+     "if not 0.0 <= lip <= 1.0:\n        raise UncertifiedMapError",
+     [f"{OUT_OF_RANGE}[secelean-unit-lip]"]),
+    ("reduce_general_weights takes a0 = 0", SOLVER,
+     "if a0 <= 0.0:",
+     "if a0 < 0.0:",
+     [f"{OUT_OF_RANGE}[reduce-zero-a0]"]),
+    ("reduce_general_weights refuses lip_general = 0", SOLVER,
+     "if lip_general < 0.0:",
+     "if lip_general <= 0.0:",
+     ["tests/test_solver.py::test_reduce_general_weights"]),
+    ("the at-cap allowance multiplies by (1 - c)", SOLVER,
+     "allowance = tol * (1.0 + c) / (1.0 - c)",
+     "allowance = tol * (1.0 - c) / (1.0 - c)",
+     [AT_CAP]),
+    ("the at-cap allowance divides by (1 + c)", SOLVER,
+     "allowance = tol * (1.0 + c) / (1.0 - c)",
+     "allowance = tol * (1.0 + c) / (1.0 + c)",
+     [AT_CAP]),
+    ("the at-cap slack multiplies by (1 - c)", SOLVER,
+     "slack = (1.0 + c) * roundoff / (1.0 - cert.step_factor()) + roundoff",
+     "slack = (1.0 - c) * roundoff / (1.0 - cert.step_factor()) + roundoff",
+     [AT_CAP]),
+    ("the at-cap slack divides by (1 + sf)", SOLVER,
+     "slack = (1.0 + c) * roundoff / (1.0 - cert.step_factor()) + roundoff",
+     "slack = (1.0 + c) * roundoff / (1.0 + cert.step_factor()) + roundoff",
+     [AT_CAP]),
+    ("the at-cap slack subtracts its last roundoff", SOLVER,
+     "slack = (1.0 + c) * roundoff / (1.0 - cert.step_factor()) + roundoff",
+     "slack = (1.0 + c) * roundoff / (1.0 - cert.step_factor()) - roundoff",
+     [AT_CAP]),
+    ("the domain's lower edge is outside it", MAPS,
+     "if not lo <= v <= hi:",
+     "if not lo < v <= hi:",
+     ["tests/test_maps.py::test_values_at_the_domain_edges_pass"]),
+    ("truncate does not check its base point's domain", MAPS,
+     '    f._check_values((base,), "base point")\n',
+     "",
+     ["tests/test_maps.py::test_a_value_outside_the_domain_is_named_exactly[truncate-base]"]),
+    ("differences adds only the tails whose sum is zero", MAPS,
+     "if tails[m] else acc",
+     "if not tails[m] else acc",
+     ["tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing"]),
+    ("a zero tail ratio drops the first tail coefficient", MAPS,
+     "return min(m, n + 1)",
+     "return min(m, n)",
+     ["tests/test_maps.py::test_eval_calls_coeff_at_only_where_a_coefficient_can_be_nonzero"]),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    """Copy ``src``, ``tests`` and ``pyproject.toml`` into ``dest``, without caches."""
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def environment(tree: Path) -> dict[str, str]:
+    """The environment that imports seqfix from ``tree``'s ``src``, ahead of any installed copy, and writes no bytecode."""
+    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
+def tests_pass(tree: Path, tests: list[str]) -> bool:
+    """Whether every test in ``tests`` passes in ``tree``."""
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=tree, env=environment(tree), capture_output=True).returncode == 0
+
+
+def mutate(tree: Path, path: str, old: str, new: str) -> bool:
+    """Replace ``old`` with ``new`` in ``src/seqfix/<path>`` of ``tree``; False if ``old`` is not there exactly once."""
+    source = tree / "src" / "seqfix" / path
+    text = source.read_text()
+    if text.count(old) != 1:
+        return False
+    source.write_text(text.replace(old, new))
+    return True
+
+
+def main() -> int:
+    started = time.perf_counter()
+    everything = sorted({test for *_, tests in MUTANTS for test in tests})
+    with tempfile.TemporaryDirectory() as workdir:
+        workdir = Path(workdir).resolve()  # the import check compares resolved paths
+        tree = workdir / "unmutated"
+        copy_tree(tree)
+        check = f"import seqfix, sys; sys.exit(not seqfix.__file__.startswith({str(tree / 'src')!r}))"
+        if subprocess.run([sys.executable, "-c", check], env=environment(tree)).returncode != 0:
+            print(f"seqfix is not imported from the copy's {tree / 'src'}, so no mutant can be judged")
+            return 1
+        if not tests_pass(tree, everything):
+            print("the unmutated tree fails the listed tests, so no mutant can be judged")
+            return 1
+        survivors = stale = 0
+        for k, (what, path, old, new, tests) in enumerate(MUTANTS):
+            tree = workdir / f"mutant{k}"
+            copy_tree(tree)
+            if not mutate(tree, path, old, new):
+                print(f"stale     {path}: {what}: its source text is not found exactly once")
+                stale += 1
+                continue
+            killed = not tests_pass(tree, tests)
+            survivors += not killed
+            print(f"{'killed' if killed else 'SURVIVED':9} {path}: {what}")
+            shutil.rmtree(tree)
+    judged = len(MUTANTS) - stale
+    print(f"{judged - survivors} of {judged} mutants killed, {stale} stale, "
+          f"in {time.perf_counter() - started:.0f} s")
+    return 1 if survivors or stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

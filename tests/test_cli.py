@@ -625,6 +625,14 @@ def test_trace_and_compare_over_the_step_budget_exit_2(tmp_path, capsys):
     assert len((tmp_path / "out" / "half.csv").read_text().splitlines()) == 1 + 1414  # header, then k = 0 .. 1413
 
 
+def test_secelean_over_the_step_budget_exits_2(tmp_path, capsys):
+    # 10**6 + 1 diagonal-map steps would hold as many rows: the run is refused before its first step
+    config = write_config(tmp_path, [problem("long", "secelean", k_max=10**6 + 1)])
+    assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
+    assert capsys.readouterr().out == "long secelean FAILED k_max 1000001 is more than the step budget 1000000\n"
+    assert not (tmp_path / "out" / "long.csv").exists()
+
+
 def test_truncate_with_an_overflowing_reference_exits_2(tmp_path, capsys):
     # the diagonal 0.5·t + 1e308 has its fixed point at 2e308, past the largest float
     huge = {"linear": {"head_coeffs": [0.5], "offset": 1e308}}

@@ -151,14 +151,25 @@ def full_loop_eval(f, x):
 
 
 def full_loop_differences(f, pairs):
-    """``f.differences(pairs)`` through every prefix coordinate's ``coeff_at``, pair by pair."""
+    """``f.differences(pairs)`` through every prefix coordinate's ``coeff_at``, pair by pair.
+
+    Two terms add nothing: a coordinate past the map's live count (its head,
+    plus the first tail coefficient when only the tail ratio is zero) and a
+    tail whose sum is zero.
+    """
+    n_head = len(f.head_coeffs)
+    live = n_head if f.tail_coeff == 0.0 else n_head + 1 if f.tail_ratio == 0.0 else math.inf
     out = []
     for a, b in pairs:
         m = max(len(a.prefix), len(b.prefix))
         acc = 0.0
         for n, (u, v) in enumerate(zip(a.head(m), b.head(m))):
-            acc += f.coeff_at(n) * (u - v)
-        out.append(abs(acc + (a.tail - b.tail) * f.tail_sum_from(m)))
+            if n < live:
+                acc += f.coeff_at(n) * (u - v)
+        tail_sum = f.tail_sum_from(m)
+        if tail_sum != 0.0:
+            acc += (a.tail - b.tail) * tail_sum
+        out.append(abs(acc))
     return out
 
 
@@ -183,12 +194,21 @@ def vanishing_tail_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(vanishing_tail_maps(), SEQUENCES, SEQUENCES)
 @example(LinearSeqMap((-0.5,), 0.0, 0.0, -0.0), BoundedSeq((0.0, 1.0), -1.0), BoundedSeq())  # -0.0 + 0.0 is 0.0
-@example(LinearSeqMap((0.5,)), BoundedSeq((0.0, 1e308)), BoundedSeq((0.0, -1e308)))  # 0.0 * (1e308 + 1e308) is NaN
+@example(LinearSeqMap((0.5,)), BoundedSeq((0.0, 1e308)), BoundedSeq((0.0, -1e308)))  # an unread 1e308 + 1e308
+@example(LinearSeqMap((0.5,)), BoundedSeq((0.0,), 1e308), BoundedSeq((0.0,), -1e308))  # a tail whose sum is zero
 def test_a_vanishing_tail_reads_the_head_and_keeps_every_bit(f, x, y):
     for z in (x, y):
         assert f.eval(z).hex() == full_loop_eval(f, z).hex()
     pairs = [(x, y), (y, x), (x, x)]
     assert [d.hex() for d in f.differences(pairs)] == [d.hex() for d in full_loop_differences(f, pairs)]
+
+
+@pytest.mark.parametrize("x, y", [
+    (BoundedSeq((0.0, 1e308)), BoundedSeq((0.0, -1e308))),  # x_1 - y_1 overflows at a coordinate past the head
+    (BoundedSeq((0.0,), 1e308), BoundedSeq((0.0,), -1e308)),  # the tails' difference overflows under a zero tail sum
+], ids=["past-the-head", "zero-tail-sum"])
+def test_an_overflow_the_map_does_not_weigh_adds_nothing(x, y):
+    assert LinearSeqMap((0.5,)).differences([(x, y), (y, x)]) == [0.0, 0.0]
 
 
 class CoeffCountingMap(LinearSeqMap):
@@ -487,6 +507,26 @@ def test_truncate_respects_domain():
         truncate(SupHalfMap(), 3, 2.0)
     with pytest.raises(ValueError):
         truncate(RECUR, 0, 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SupHalfMap().eval(BoundedSeq((0.5, 1.5), 0.0)), "coordinate 1.5 outside map domain [0.0, 1.0]"),
+    (lambda: next(SupHalfMap().iterates(BoundedSeq((0.5,), -0.1))), "coordinate -0.1 outside map domain [0.0, 1.0]"),
+    (lambda: SupHalfMap().diagonal(2.0), "coordinate 2.0 outside map domain [0.0, 1.0]"),
+    (lambda: truncate(SupHalfMap(), 1, 2.0), "base point 2.0 outside map domain [0.0, 1.0]"),
+], ids=["eval", "iterates", "diagonal", "truncate-base"])
+def test_a_value_outside_the_domain_is_named_exactly(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_values_at_the_domain_edges_pass():
+    f = SupHalfMap()
+    edges = BoundedSeq((0.0, 1.0), 0.0)
+    assert f.eval(edges) == 0.5
+    assert next(f.iterates(edges)) == 0.5
+    assert (f.diagonal(0.0), f.diagonal(1.0)) == (0.0, 0.5)
+    assert (truncate(f, 1, 0.0)(1.0), truncate(f, 1, 1.0)(0.0)) == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("arity", [2.5, 2.0, "2"])

@@ -754,6 +754,26 @@ def test_k_max_over_the_step_budget_is_refused_before_any_lift(monkeypatch):
         generalized_iterates(Unliftable(), ZERO, 5)
 
 
+def unevaluable(*args):
+    raise AssertionError("the map was evaluated")
+
+
+@pytest.mark.parametrize("iterate", [
+    lambda k_max: secelean_iterates(Unliftable(), ZERO, k_max, lip=0.5),
+    lambda k_max: presic_iterates(FiniteArityMap(1, unevaluable), (0.0,), k_max),
+], ids=["secelean", "presic"])
+def test_an_iterated_k_max_over_the_step_budget_is_refused_before_any_step(monkeypatch, iterate):
+    with pytest.raises(ValueError, match=r"^k_max 1000001 is more than the step budget 1000000$") as caught:
+        iterate(10**6 + 1)
+    assert not isinstance(caught.value, BoundViolationError)
+    # a budget of 10 takes k_max 10, and not 11
+    monkeypatch.setattr("seqfix.solver._STEP_BUDGET", 10)
+    with pytest.raises(AssertionError, match="evaluated"):
+        iterate(10)
+    with pytest.raises(ValueError, match=r"^k_max 11 is more than the step budget 10$"):
+        iterate(11)
+
+
 def test_truncation_study_over_the_step_budget_is_refused_before_any_evaluation(monkeypatch):
     def no_evaluation(*args):
         raise AssertionError("the study evaluated a diagonal")

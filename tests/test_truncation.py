@@ -438,7 +438,7 @@ class QuarterSquare(SeqMap):
     domain = (0.0, 1.0)
 
     def eval(self, x):
-        self._check_domain(x)
+        self._check_values(x.values())
         return 0.25 * x.head(1)[0] ** 2
 
     def lip_sup(self, q):
