@@ -212,10 +212,12 @@ class LinearSeqMap(SeqMap):
         is the same number algebraically but keeps full relative precision.
         The coefficients and tail sums the pairs read are built once per
         call, and each pair is summed left to right, then its tail added.
-        No coordinate past :meth:`_live_terms` is read, and a tail whose sum
-        is zero adds nothing. Each such term is a signed zero, which ``abs``
-        cannot tell from the sum; read, it would be 0.0 * inf, NaN, where
-        its difference overflows.
+        A term with a zero factor adds nothing: no coordinate past
+        :meth:`_live_terms` is read, and a pair whose sum is NaN, where a
+        zero factor met a difference or tail sum that overflowed
+        (0.0 * inf), is summed again over its terms without a zero factor.
+        Each term left out is a signed zero or such a NaN, so every other
+        sum keeps its bits: ``abs`` cannot tell a signed zero from the sum.
         """
         spans = [max(len(a.prefix), len(b.prefix)) for a, b in pairs]
         live = self._live_terms(max(spans, default=0))
@@ -226,22 +228,41 @@ class LinearSeqMap(SeqMap):
             acc = 0.0
             for c, u, v in zip(coeffs, a.head(m), b.head(m)):
                 acc += c * (u - v)
-            out.append(abs(acc + (a.tail - b.tail) * tails[m] if tails[m] else acc))
+            total = abs(acc + (a.tail - b.tail) * tails[m])
+            if total != total:  # NaN, as where a zero factor meets an overflow (0.0 * inf)
+                terms = [(c, u - v) for c, u, v in zip(coeffs, a.head(m), b.head(m))]
+                terms.append((tails[m], a.tail - b.tail))
+                acc = 0.0
+                for c, d in terms:
+                    if c and d:
+                        acc += c * d
+                total = abs(acc)
+            out.append(total)
         return out
 
     def witnesses(self, q: float, p: float | None) -> Iterator[BoundedSeq]:
-        """Near-extremal inputs realizing the analytic constants on truncations.
+        """Near-extremal inputs realizing the analytic constants on truncations, one per family.
 
         It checks q, then p, as the distance at (p, q) does.
         The sup (p None) and power (p > 1) witnesses put 0.0 at zero
         coefficients and end before the first coordinate that is not a finite
         float, because its weight q**k underflowed; a shorter witness still
         bounds the constant from below.
+
+        For p = 1 the constant is sup_k |b_k| / q**k, and the witness is the
+        unit vector e_k at the first k <= 64 that maximizes
+        ``abs(self.coeff_at(k)) / q**k`` among the depths where q**k > 0.0.
+        Scored against the zero sequence, each e_k gives exactly that float:
+        its difference is |b_k| and its distance (q**k)**1.0 is q**k; a depth
+        whose weight underflowed has distance 0.0 and is not scored. The
+        empirical bound is a maximum, which is exact, so this one witness
+        gives the bound that all 65 unit vectors give, bit for bit.
         """
         _geom_distance(q, p, 0)
         if p == 1.0:
-            for k in range(_WITNESS_DEPTH + 1):
-                yield BoundedSeq((0.0,) * k + (1.0,), 0.0)
+            depths = (k for k in range(_WITNESS_DEPTH + 1) if q**k > 0.0)
+            k = max(depths, key=lambda k: abs(self.coeff_at(k)) / q**k)
+            yield BoundedSeq((0.0,) * k + (1.0,), 0.0)
             return
         entries: list[float] = []
         for k in range(_WITNESS_DEPTH + 1):

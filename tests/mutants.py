@@ -32,6 +32,7 @@ SOLVER, MAPS = "solver.py", "maps.py"
 AT_CAP = "tests/test_solver.py::test_the_at_cap_allowance_separates_a_return_from_roundoff_and_a_violation"
 OUT_OF_RANGE = "tests/test_solver.py::test_out_of_range_arguments_raise"
 CAPPED_RUN = "tests/test_truncation.py::test_a_run_that_reaches_its_cap_returns_the_enclosure_midpoint"
+P1_WITNESS = "tests/test_maps.py::test_one_p1_witness_gives_the_bound_of_every_unit_vector"
 
 #: (what it breaks, file, source text, its replacement, the tests that must kill it)
 MUTANTS = [
@@ -95,14 +96,26 @@ MUTANTS = [
      '    f._check_values((base,), "base point")\n',
      "",
      ["tests/test_maps.py::test_a_value_outside_the_domain_is_named_exactly[truncate-base]"]),
-    ("differences adds only the tails whose sum is zero", MAPS,
-     "if tails[m] else acc",
-     "if not tails[m] else acc",
-     ["tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing"]),
     ("a zero tail ratio drops the first tail coefficient", MAPS,
      "return min(m, n + 1)",
      "return min(m, n)",
      ["tests/test_maps.py::test_eval_calls_coeff_at_only_where_a_coefficient_can_be_nonzero"]),
+    ("the p = 1 witness takes the last maximum", MAPS,
+     "depths = (k for k in range(_WITNESS_DEPTH + 1) if q**k > 0.0)",
+     "depths = (k for k in reversed(range(_WITNESS_DEPTH + 1)) if q**k > 0.0)",
+     [P1_WITNESS]),
+    ("the p = 1 witness scores a depth whose weight underflowed", MAPS,
+     "if q**k > 0.0)",
+     "if q**k >= 0.0)",
+     [P1_WITNESS]),
+    ("the NaN re-sum keeps the terms whose difference is zero", MAPS,
+     "                    if c and d:\n",
+     "                    if c:\n",
+     ["tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing[overflowing-tail-sum]"]),
+    ("the NaN re-sum keeps the zero coefficients", MAPS,
+     "                    if c and d:\n",
+     "                    if d:\n",
+     ["tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing[zero-head-coefficient]"]),
 ]
 
 

@@ -700,7 +700,7 @@ def test_certify_takes_one_difference_per_drawn_pair(tmp_path, capsys, monkeypat
     f = CountingLinearMap((1.0 / 3.0,), 1.0 / 6.0, 0.5, 1.0)
     cert, pc = find_sup_certificate(f), find_p_certificate(f, 0.5)
     witnesses = list(f.witnesses(cert.q, None)) + list(f.witnesses(pc.q, pc.p))
-    assert len(witnesses) == 1 + 65  # one sup witness, and a unit vector per depth for p = 1
+    assert len(witnesses) == 1 + 1  # one sup witness, and the one unit vector that sets the p = 1 constant
     assert run(write_config(tmp_path, [problem("recur", "certify", q0=0.5)]), str(tmp_path / "out")) == EXIT_OK
     (pairs,) = CountingLinearMap.calls  # one call per certify, drawn from the default seed 0
     rng = random.Random(0)
@@ -710,7 +710,7 @@ def test_certify_takes_one_difference_per_drawn_pair(tmp_path, capsys, monkeypat
     CountingLinearMap.calls.clear()
     empirical_lip_lower_bound(f, pc.q, pc.p, trials=50, seed=3)
     (pairs,) = CountingLinearMap.calls
-    assert len(pairs) == 50 + 65
+    assert len(pairs) == 50 + 1
     capsys.readouterr()
 
 

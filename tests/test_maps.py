@@ -153,22 +153,18 @@ def full_loop_eval(f, x):
 def full_loop_differences(f, pairs):
     """``f.differences(pairs)`` through every prefix coordinate's ``coeff_at``, pair by pair.
 
-    Two terms add nothing: a coordinate past the map's live count (its head,
-    plus the first tail coefficient when only the tail ratio is zero) and a
-    tail whose sum is zero.
+    A term with a zero factor adds nothing: a zero coefficient (every one past
+    the map's live count is zero), a zero difference, and a tail whose sum or
+    difference is zero.
     """
-    n_head = len(f.head_coeffs)
-    live = n_head if f.tail_coeff == 0.0 else n_head + 1 if f.tail_ratio == 0.0 else math.inf
     out = []
     for a, b in pairs:
         m = max(len(a.prefix), len(b.prefix))
+        terms = [(f.coeff_at(n), u - v) for n, (u, v) in enumerate(zip(a.head(m), b.head(m)))]
         acc = 0.0
-        for n, (u, v) in enumerate(zip(a.head(m), b.head(m))):
-            if n < live:
-                acc += f.coeff_at(n) * (u - v)
-        tail_sum = f.tail_sum_from(m)
-        if tail_sum != 0.0:
-            acc += (a.tail - b.tail) * tail_sum
+        for c, d in terms + [(f.tail_sum_from(m), a.tail - b.tail)]:
+            if c and d:
+                acc += c * d
         out.append(abs(acc))
     return out
 
@@ -203,12 +199,18 @@ def test_a_vanishing_tail_reads_the_head_and_keeps_every_bit(f, x, y):
     assert [d.hex() for d in f.differences(pairs)] == [d.hex() for d in full_loop_differences(f, pairs)]
 
 
-@pytest.mark.parametrize("x, y", [
-    (BoundedSeq((0.0, 1e308)), BoundedSeq((0.0, -1e308))),  # x_1 - y_1 overflows at a coordinate past the head
-    (BoundedSeq((0.0,), 1e308), BoundedSeq((0.0,), -1e308)),  # the tails' difference overflows under a zero tail sum
-], ids=["past-the-head", "zero-tail-sum"])
-def test_an_overflow_the_map_does_not_weigh_adds_nothing(x, y):
-    assert LinearSeqMap((0.5,)).differences([(x, y), (y, x)]) == [0.0, 0.0]
+@pytest.mark.parametrize("f, x, y", [
+    # x_1 - y_1 overflows at a coordinate past the head
+    (LinearSeqMap((0.5,)), BoundedSeq((0.0, 1e308)), BoundedSeq((0.0, -1e308))),
+    # the tails' difference overflows under a zero tail sum
+    (LinearSeqMap((0.5,)), BoundedSeq((0.0,), 1e308), BoundedSeq((0.0,), -1e308)),
+    # x_0 - y_0 overflows at a zero head coefficient
+    (LinearSeqMap((0.0, 0.5)), BoundedSeq((1e308, 0.0)), BoundedSeq((-1e308, 0.0))),
+    # equal sequences under a tail sum, 1e308 / (1 - 0.5), that overflows
+    (LinearSeqMap((0.5,), 1e308, 0.5), BoundedSeq((3.0,), 2.0), BoundedSeq((3.0,), 2.0)),
+], ids=["past-the-head", "zero-tail-sum", "zero-head-coefficient", "overflowing-tail-sum"])
+def test_an_overflow_the_map_does_not_weigh_adds_nothing(f, x, y):
+    assert f.differences([(x, y), (y, x)]) == [0.0, 0.0]
 
 
 class CoeffCountingMap(LinearSeqMap):
@@ -577,7 +579,7 @@ def test_empirical_never_exceeds_analytic():
 
 
 def test_empirical_survives_offset_cancellation():
-    # deep unit-vector witnesses carry signals far below the offset; the
+    # a unit-vector witness's signal b_k can lie far below the offset; the
     # ratio must not be polluted by cancellation against it
     got = empirical_lip_lower_bound(RECUR, 0.5, p=1.0, trials=200, seed=7)
     lip = RECUR.lip_p(1.0, 0.5)  # every term |b_n|/q^n equals 1/3
@@ -590,6 +592,65 @@ def test_empirical_witnesses_are_sharp():
         f = random_linear(rng, abs_sum=rng.uniform(0.2, 0.9), ratio_span=0.4)
         lip = f.lip_sup(0.8)
         assert empirical_lip_lower_bound(f, 0.8, trials=10, seed=i) >= 0.99 * lip
+        # the p = 1 constant is finite for |tail_ratio| <= q, here always below it
+        assert abs(f.tail_ratio) < 0.8
+        assert empirical_lip_lower_bound(f, 0.8, 1.0, trials=10, seed=i) >= 0.99 * f.lip_p(1.0, 0.8)
+
+
+def p1_bound_over_every_unit_vector(f, q, trials, seed):
+    """The p = 1 bound as it was scored over every unit vector e_0..e_64, and the first k whose e_k sets their maximum.
+
+    Each ratio is taken through ``f.differences`` and ``dist_p_geom``; a pair at distance 0.0 is not
+    scored, and a NaN ratio cannot raise the running maximum.
+    """
+    rng = random.Random(seed)
+    pairs = [(_random_seq(rng, -1.0, 1.0), _random_seq(rng, -1.0, 1.0)) for _ in range(trials)]
+    zero = BoundedSeq.constant(0.0)
+    units = [(BoundedSeq((0.0,) * k + (1.0,), 0.0), zero) for k in range(65)]
+    ratios = []
+    for (a, b), diff in zip(pairs + units, f.differences(pairs + units)):
+        d = dist_p_geom(a, b, 1.0, q)
+        ratios.append(diff / d if d > 0.0 else None)
+    top = max([0.0] + [r for r in ratios if r is not None])
+    scored = [(k, r) for k, r in enumerate(ratios[trials:]) if r is not None]
+    unit_top = max(r for _, r in scored)
+    return top, next(k for k, r in scored if r == unit_top)
+
+
+P1_COEFFS = st.one_of(SIGNED_ZERO, st.floats(-1.0, 1.0), st.sampled_from([1e308, -1e308]), FINITE)
+
+
+@st.composite
+def p1_maps_and_weights(draw):
+    """A linear map and q for the p = 1 family.
+
+    Heads hold zero coefficients; tails and ratios are signed zeros as often as not; the ratio ties
+    q in absolute value a third of the time; q reaches 1e-160, where |b_2| / q**2 overflows to inf,
+    and 1e-200 and below, where q**k underflows to 0.0 inside the witness depth.
+    """
+    q = draw(st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.5, 0.25, 1e-5, 1e-160, 1e-200, 1e-300]),
+                       st.floats(5e-324, 1e-100)))
+    head = tuple(draw(st.lists(P1_COEFFS, max_size=8)))
+    tail = draw(st.one_of(SIGNED_ZERO, P1_COEFFS))
+    ratio = draw(st.one_of(SIGNED_ZERO, st.sampled_from([q, -q]), st.floats(-0.999, 0.999)))
+    return LinearSeqMap(head, tail, ratio), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(p1_maps_and_weights(), st.integers(1, 20), st.integers(0, 2**32))
+@example((RECUR, 0.5), 200, 7)  # every |b_k| / q**k is 1/3: the first depth, e_0 = (1.0,), is the witness
+@example((LinearSeqMap(), 1e-200), 1, 0)  # every ratio ties at 0.0, and q**k underflows from k = 2 on
+@example((LinearSeqMap((0.0, 1e-10), 1.0, 1e-160), 1e-160), 3, 1)  # |b_2| / q**2 overflows to inf; tail_ratio == q
+@example((LinearSeqMap((0.5,), 1e308, 0.5), 0.5), 3, 2)  # tail sums overflow: e_k scores |b_k| / q**k all the same
+def test_one_p1_witness_gives_the_bound_of_every_unit_vector(map_and_weight, trials, seed):
+    f, q = map_and_weight
+    want, k = p1_bound_over_every_unit_vector(f, q, trials, seed)
+    assert list(f.witnesses(q, 1.0)) == [BoundedSeq((0.0,) * k + (1.0,), 0.0)]
+    assert empirical_lip_lower_bound(f, q, 1.0, trials, seed).hex() == want.hex()
+
+
+def test_the_readme_map_has_its_p1_witness_at_the_first_coordinate():
+    assert list(RECUR.witnesses(0.5, 1.0)) == [BoundedSeq((1.0,), 0.0)]
 
 
 def map_gap_loop(f, a, b):
