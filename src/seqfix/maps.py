@@ -63,7 +63,7 @@ class SeqMap(ABC):
 
         :func:`~seqfix.solver.find_sup_certificate` certifies at the q
         where it falls to q. At q = 1 this is the plain sup distance, which
-        gives the Secelean default constant and the truncation hints.
+        gives the Secelean default constant and the default truncation hint.
         """
         return math.inf
 
@@ -83,25 +83,15 @@ class SeqMap(ABC):
         """
         return ()
 
-    def truncation(self, n: int, base: float) -> FiniteArityMap:
-        """The arity-n map that freezes every coordinate from index ``n`` on at ``base``.
+    def truncation_hint(self, n: int) -> float | None:
+        """A max-metric Lipschitz constant of the arity-n truncation, or None when the map has none.
 
-        Contract, for every override: the rule's value at ``args`` equals
-        ``self.eval(BoundedSeq(args, base))`` bit for bit, and a non-finite
-        argument raises ``ValueError``. The ``lipschitz_hint`` of the result
-        is a max-metric Lipschitz constant of the truncation, or None when
-        the map cannot supply one. This default evaluates through
-        ``BoundedSeq``; its hint is ``lip_sup(1.0)`` when that is finite,
-        since freezing coordinates cannot raise the plain sup constant.
-        :func:`truncate` validates ``n``, ``base`` and the domain before
-        calling it.
+        This default is ``lip_sup(1.0)`` when that is finite, since freezing
+        coordinates cannot raise the plain sup constant. :func:`truncate`
+        validates ``n`` before asking and builds the truncation's rule itself.
         """
-
-        def rule(*args: float) -> float:
-            return self.eval(BoundedSeq(args, base))
-
         hint = self.lip_sup(1.0)
-        return FiniteArityMap(n, rule, hint if hint < math.inf else None)
+        return hint if hint < math.inf else None
 
     def _check_values(self, values: Iterable[float], what: str = "coordinate") -> None:
         """Raise ``ValueError`` at the first value outside :attr:`domain`, naming it as ``what``."""
@@ -189,6 +179,7 @@ class LinearSeqMap(SeqMap):
         Only the prefix within :meth:`_live_terms` is read while the sum is
         nonzero. The terms past it are signed zeros, which leave a nonzero
         sum as it is but can turn -0.0 into 0.0, so a zero sum reads them all.
+        The tail is added by :meth:`_plus_tail`.
         """
         m = len(x.prefix)
         live = self._live_terms(m)
@@ -198,11 +189,21 @@ class LinearSeqMap(SeqMap):
         if acc == 0.0:
             for n in range(live, m):
                 acc += self.coeff_at(n) * x.prefix[n]
-        return acc + x.tail * self.tail_sum_from(m)
+        return self._plus_tail(acc, x.tail, m)
+
+    def _plus_tail(self, acc: float, t: float, m: int) -> float:
+        """``acc + t * tail_sum_from(m)``, where a zero ``t`` adds nothing to a tail sum that is not finite.
+
+        That product is NaN (0.0 * inf), and the zero-factor rule of
+        :meth:`differences` drops it; every other product, a signed zero
+        included, is added as it is.
+        """
+        term = t * self.tail_sum_from(m)
+        return acc if term != term and t == 0.0 else acc + term
 
     def diagonal(self, t: float) -> float:
         """``offset + t * sum_n b_n``, what :meth:`eval` computes on the constant sequence, bit for bit."""
-        return self.offset + ensure_finite(t, "tail") * self.tail_sum_from(0)
+        return self._plus_tail(self.offset, ensure_finite(t, "tail"), 0)
 
     def differences(self, pairs: Sequence[tuple[BoundedSeq, BoundedSeq]]) -> list[float]:
         """Each |f(a) - f(b)| through the offset-free form ``sum_n b_n (a_n - b_n)``.
@@ -296,15 +297,13 @@ class LinearSeqMap(SeqMap):
             deepest = max((k for k, b in enumerate(self.head_coeffs) if b != 0.0), default=0)
         return q**deepest == 0.0
 
-    def truncation(self, n: int, base: float) -> FiniteArityMap:
-        """The default rule, with the hint sum_{k<n} |b_k|.
+    def truncation_hint(self, n: int) -> float | None:
+        """sum_{k<n} |b_k|, the truncation's exact max-metric constant.
 
-        That is the truncation's exact max-metric constant: the frozen
-        coordinates add nothing, where the default hint ``lip_sup(1.0)``
-        sums every |b_k|.
+        The frozen coordinates add nothing, where the default hint
+        ``lip_sup(1.0)`` sums every |b_k|.
         """
-        hint = sum((abs(self.coeff_at(k)) for k in range(self._live_terms(n))), 0.0)
-        return FiniteArityMap(n, super().truncation(n, base).rule, hint)
+        return sum((abs(self.coeff_at(k)) for k in range(self._live_terms(n))), 0.0)
 
     def lip_sup(self, q: float) -> float:
         """Lipschitz constant for the q-weighted sup distance: sum_n |b_n| / q**n.
@@ -519,15 +518,19 @@ def truncate(f: SeqMap, n: int, base: float) -> FiniteArityMap:
     """Freeze all coordinates of ``f`` from index ``n`` on at ``base``.
 
     The result is an arity-n map; its max-metric Lipschitz constant never
-    exceeds any sup-distance Lipschitz constant of ``f``, and the hint is
-    filled in exactly where it can be computed. Checks ``n``, ``base`` and
-    the map's domain, then delegates to :meth:`SeqMap.truncation`, whose
-    rule equals ``f.eval(BoundedSeq(args, base))`` bit for bit.
+    exceeds any sup-distance Lipschitz constant of ``f``, and its hint is
+    :meth:`SeqMap.truncation_hint`. Checks ``n``, ``base`` and the map's
+    domain; the rule is ``f.eval(BoundedSeq(args, base))``, so a non-finite
+    argument raises ``ValueError``.
     """
     n = ensure_count(n, "truncation arity", 1)
     base = ensure_finite(base, "base point")
     f._check_values((base,), "base point")
-    return f.truncation(n, base)
+
+    def rule(*args: float) -> float:
+        return f.eval(BoundedSeq(args, base))
+
+    return FiniteArityMap(n, rule, f.truncation_hint(n))
 
 
 def _random_seq(rng: random.Random, lo: float, hi: float) -> BoundedSeq:

@@ -108,6 +108,14 @@ MUTANTS = [
      "if q**k > 0.0)",
      "if q**k >= 0.0)",
      [P1_WITNESS]),
+    ("a linear truncation's hint drops its last live coefficient", MAPS,
+     "range(self._live_terms(n)))",
+     "range(self._live_terms(n) - 1))",
+     ["tests/test_truncation.py::test_truncation_is_bit_exact", "tests/test_maps.py::test_truncate_linear_closed_form"]),
+    ("a zero tail adds its NaN product to eval and diagonal", MAPS,
+     "return acc if term != term and t == 0.0 else acc + term",
+     "return acc + term",
+     ["tests/test_maps.py::test_a_zero_tail_adds_nothing_to_a_tail_sum_that_overflows"]),
     ("the NaN re-sum keeps the terms whose difference is zero", MAPS,
      "                    if c and d:\n",
      "                    if c:\n",

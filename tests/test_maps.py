@@ -129,6 +129,8 @@ def hex_or_error(fn, t):
 @example([0.5, 0.75], 0.25, 0.5, 1.0, 1e308)  # t * sum_n b_n overflows to inf
 @example([1e308, 1e308], 0.0, 0.0, 0.0, 1.0)  # sum_n b_n overflows, then the value
 @example([-0.5], 0.0, 0.0, 1e308, -1e308)  # offset + t * sum_n b_n overflows
+@example([0.5], 1e308, 0.5, 0.0, 0.0)  # sum_n b_n overflows, and the zero t adds nothing
+@example([0.5], 1e308, 0.5, -0.0, -0.0)
 @example([1e-16, 1.0], -1.0, 0.0, 0.0, 1.0)  # sum_n b_n depends on the order of summation
 @example([0.5], 0.0, 0.0, 1.0, math.inf)
 @example([0.5], 0.0, 0.0, 1.0, -math.inf)
@@ -142,12 +144,16 @@ def test_linear_diagonal_is_eval_on_the_constant_sequence_bit_for_bit(head, tail
 
 
 def full_loop_eval(f, x):
-    """``f.eval(x)`` through every prefix coordinate's ``coeff_at``, left to right, then the tail."""
+    """``f.eval(x)`` through every prefix coordinate's ``coeff_at``, left to right, then the tail.
+
+    A zero tail adds nothing where its product is NaN (0.0 times a tail sum that overflowed).
+    """
     m = len(x.prefix)
     acc = f.offset
     for n in range(m):
         acc += f.coeff_at(n) * x.prefix[n]
-    return acc + x.tail * f.tail_sum_from(m)
+    term = x.tail * f.tail_sum_from(m)
+    return acc if math.isnan(term) and x.tail == 0.0 else acc + term
 
 
 def full_loop_differences(f, pairs):
@@ -211,6 +217,16 @@ def test_a_vanishing_tail_reads_the_head_and_keeps_every_bit(f, x, y):
 ], ids=["past-the-head", "zero-tail-sum", "zero-head-coefficient", "overflowing-tail-sum"])
 def test_an_overflow_the_map_does_not_weigh_adds_nothing(f, x, y):
     assert f.differences([(x, y), (y, x)]) == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("value, want", [
+    # x_0 = 1.0 under the tail sum from 1, 1e308 / (1 - 0.5), that overflows
+    (lambda f: f.eval(BoundedSeq((1.0,), 0.0)), 0.5),
+    (lambda f: f.diagonal(0.0), 0.0),
+    (lambda f: f.diagonal(-0.0), 0.0),
+], ids=["eval", "diagonal", "diagonal-negative-zero"])
+def test_a_zero_tail_adds_nothing_to_a_tail_sum_that_overflows(value, want):
+    assert value(LinearSeqMap((0.5,), 1e308, 0.5)).hex() == want.hex()
 
 
 class CoeffCountingMap(LinearSeqMap):

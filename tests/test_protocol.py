@@ -145,9 +145,17 @@ class PlainSupMap(SeqMap):
         return 0.25 + 0.25 / q
 
 
+class HintedSupMap(PlainSupMap):
+    """PlainSupMap with its exact truncation constants: x_1 is frozen at arity 1."""
+
+    def truncation_hint(self, n):
+        return 0.25 if n == 1 else 0.5
+
+
 def test_minimal_map_gets_truncation_hint_and_secelean_default():
     f = PlainSupMap()
     assert truncate(f, 3, 0.0).lipschitz_hint == 0.5
+    assert [truncate(HintedSupMap(), n, 0.0).lipschitz_hint for n in (1, 2, 3)] == [0.25, 0.5, 0.5]
     rows = secelean_iterates(f, ZERO, 60)  # no lip passed: lip_sup(1.0) = 0.5
     assert rows[1].bound == 0.5**2 / 0.5 * 1.0
     assert abs(rows[-1].value - 2.0) <= rows[-1].bound

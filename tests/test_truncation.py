@@ -1,4 +1,4 @@
-"""Exactness of linear truncations and the sliding Prešić window; the diagonal loop of truncation studies.
+"""Exactness of truncations and the sliding Prešić window; the diagonal loop of truncation studies.
 
 Values are compared bit for bit (via ``float.hex``, which also tells -0.0
 from 0.0): a truncation with ``f.eval(BoundedSeq(args, base))``, and the
@@ -19,6 +19,7 @@ from seqfix import (
     FiniteArityMap,
     LinearSeqMap,
     SeqMap,
+    SupHalfMap,
     embed_finite,
     find_p_certificate,
     find_sup_certificate,
@@ -41,14 +42,44 @@ def linear_maps(draw, max_head=6):
     return LinearSeqMap(head, tail_coeff, tail_ratio, draw(st.floats(min_value=-3.0, max_value=3.0)))
 
 
+def affine(coeffs, offset, hint=None):
+    def rule(*args):
+        acc = offset
+        for c, a in zip(coeffs, args):
+            acc += c * a
+        return acc
+
+    return FiniteArityMap(len(coeffs), rule, hint)
+
+
+class QuarterSumMap(SeqMap):
+    """(x_0 + x_1) / 4: a user map known to the protocol through eval and lip_sup alone."""
+
+    def eval(self, x):
+        a, b = x.head(2)
+        return 0.25 * (a + b)
+
+    def lip_sup(self, q):
+        return 0.25 + 0.25 / q
+
+
+#: an affine Prešić map of arity 1-4 with |c| <= 1, embedded, with sum |c| or no hint
+presic_maps = st.integers(min_value=1, max_value=4).flatmap(lambda m: st.builds(
+    lambda coeffs, offset, hinted: embed_finite(affine(coeffs, offset, sum(map(abs, coeffs)) if hinted else None)),
+    st.lists(coeff, min_size=m, max_size=m), st.floats(min_value=-3.0, max_value=3.0), st.booleans(),
+))
+every_map_kind = st.one_of(linear_maps(), st.just(SupHalfMap()), presic_maps, st.just(QuarterSumMap()))
+
+
 @st.composite
-def truncation_cases(draw):
-    """(map, n, base, args) where args mix free values with runs equal to base."""
-    f = draw(linear_maps())
+def truncation_cases(draw, maps=linear_maps()):
+    """(map, n, base, args) where args mix free values with runs equal to base, all in the map's domain."""
+    f = draw(maps)
+    free = finite if f.domain is None else st.floats(min_value=f.domain[0], max_value=f.domain[1])
     n = draw(st.integers(min_value=1, max_value=9))
-    base = draw(st.one_of(finite, st.sampled_from([0.0, -0.0, 1.0])))
+    base = draw(st.one_of(free, st.sampled_from([0.0, -0.0, 1.0])))
     # None stands for base, so all-base and trailing-base tuples are common
-    slots = draw(st.lists(st.one_of(st.none(), finite, st.sampled_from([0.0, -0.0])), min_size=n, max_size=n))
+    slots = draw(st.lists(st.one_of(st.none(), free, st.sampled_from([0.0, -0.0])), min_size=n, max_size=n))
     return f, n, base, tuple(base if v is None else v for v in slots)
 
 
@@ -64,16 +95,22 @@ def outcome(fn, args):
         return f"ValueError: {e}"
 
 
-@settings(max_examples=200, deadline=None)
-@given(truncation_cases())
+@settings(max_examples=300, deadline=None)
+@given(truncation_cases(every_map_kind))
 @example((LinearSeqMap((0.5, -0.25), 0.125, -0.5, 1.0), 4, 2.0, (2.0, 2.0, 2.0, 2.0)))
 @example((LinearSeqMap((0.5, -0.25), 0.125, -0.5, 1.0), 4, 2.0, (1.5, -3.0, 2.0, 2.0)))
 @example((LinearSeqMap((0.5,), 0.25, 0.5, 1.0), 3, 0.0, (-0.0, 1.0, -0.0)))
-def test_linear_truncation_is_bit_exact(case):
+@example((SupHalfMap(), 3, 0.25, (-0.0, 1.0, 0.25)))
+@example((embed_finite(affine([0.5, -0.25, 0.125], 1.0, 0.875)), 2, -1.5, (3.0, 0.5)))
+@example((QuarterSumMap(), 1, 2.0, (-0.0,)))
+def test_truncation_is_bit_exact(case):
     f, n, base, args = case
     fn = truncate(f, n, base)
     assert bits([fn(*args)]) == bits([f.eval(BoundedSeq(args, base))])
-    assert fn.lipschitz_hint == sum(abs(f.coeff_at(k)) for k in range(n))
+    if isinstance(f, LinearSeqMap):
+        assert fn.lipschitz_hint == sum(abs(f.coeff_at(k)) for k in range(n))
+    else:  # the default hint: the plain sup constant, where the map knows one
+        assert fn.lipschitz_hint == (None if f.lip_sup(1.0) == math.inf else f.lip_sup(1.0))
 
 
 @given(truncation_cases(), st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1, max_size=3),
@@ -86,16 +123,6 @@ def test_linear_truncation_rejects_non_finite_arguments(case, bads, data):
     got = outcome(truncate(f, n, base), args)
     assert got.startswith("ValueError: sequence entry must be finite, got ")
     assert got == outcome(lambda *a: f.eval(BoundedSeq(a, base)), args)
-
-
-def affine(coeffs, offset):
-    def rule(*args):
-        acc = offset
-        for c, a in zip(coeffs, args):
-            acc += c * a
-        return acc
-
-    return FiniteArityMap(len(coeffs), rule)
 
 
 def presic_reference(g, seeds, k_max):
