@@ -179,17 +179,33 @@ class LinearSeqMap(SeqMap):
         Only the prefix within :meth:`_live_terms` is read while the sum is
         nonzero. The terms past it are signed zeros, which leave a nonzero
         sum as it is but can turn -0.0 into 0.0, so a zero sum reads them all.
-        The tail is added by :meth:`_plus_tail`.
+        :meth:`_add_terms` sums the prefix terms and :meth:`_plus_tail` adds
+        the tail, so a call costs O(len(x.prefix)).
         """
-        m = len(x.prefix)
+        prefix = x.prefix
+        m = len(prefix)
         live = self._live_terms(m)
-        acc = self.offset
-        for n in range(live):
-            acc += self.coeff_at(n) * x.prefix[n]
+        acc = self._add_terms(self.offset, prefix, 0, live)
         if acc == 0.0:
-            for n in range(live, m):
-                acc += self.coeff_at(n) * x.prefix[n]
+            acc = self._add_terms(acc, prefix, live, m)
         return self._plus_tail(acc, x.tail, m)
+
+    def _add_terms(self, acc: float, prefix: tuple[float, ...], start: int, stop: int) -> float:
+        """``acc`` plus ``b_n * prefix[n]`` for n from ``start`` to ``stop - 1``, left to right.
+
+        Head coefficients come from :meth:`coeff_at`. A tail coefficient is
+        the float ``coeff_at`` returns, ``tail_coeff * tail_ratio**j`` at
+        n = N + j, computed inline, so each sum keeps its bits without a
+        call per term.
+        """
+        n = len(self.head_coeffs)
+        mid = max(start, min(n, stop))
+        for k in range(start, mid):
+            acc += self.coeff_at(k) * prefix[k]
+        b, r = self.tail_coeff, self.tail_ratio
+        for j, v in enumerate(prefix[mid:stop], mid - n):
+            acc += b * r**j * v
+        return acc
 
     def _plus_tail(self, acc: float, t: float, m: int) -> float:
         """``acc + t * tail_sum_from(m)``, where a zero ``t`` adds nothing to a tail sum that is not finite.

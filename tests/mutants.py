@@ -33,6 +33,7 @@ AT_CAP = "tests/test_solver.py::test_the_at_cap_allowance_separates_a_return_fro
 OUT_OF_RANGE = "tests/test_solver.py::test_out_of_range_arguments_raise"
 CAPPED_RUN = "tests/test_truncation.py::test_a_run_that_reaches_its_cap_returns_the_enclosure_midpoint"
 P1_WITNESS = "tests/test_maps.py::test_one_p1_witness_gives_the_bound_of_every_unit_vector"
+LIVE_READS = "tests/test_maps.py::test_eval_reads_the_live_coordinates_and_only_the_head_through_coeff_at"
 
 #: (what it breaks, file, source text, its replacement, the tests that must kill it)
 MUTANTS = [
@@ -99,7 +100,15 @@ MUTANTS = [
     ("a zero tail ratio drops the first tail coefficient", MAPS,
      "return min(m, n + 1)",
      "return min(m, n)",
-     ["tests/test_maps.py::test_eval_calls_coeff_at_only_where_a_coefficient_can_be_nonzero"]),
+     [LIVE_READS]),
+    ("eval reads past the live count", MAPS,
+     "live = self._live_terms(m)",
+     "live = m",
+     [LIVE_READS]),
+    ("the tail's powers start at r**1", MAPS,
+     "enumerate(prefix[mid:stop], mid - n)",
+     "enumerate(prefix[mid:stop], mid - n + 1)",
+     ["tests/test_maps.py::test_a_vanishing_tail_reads_the_head_and_keeps_every_bit"]),
     ("the p = 1 witness takes the last maximum", MAPS,
      "depths = (k for k in range(_WITNESS_DEPTH + 1) if q**k > 0.0)",
      "depths = (k for k in reversed(range(_WITNESS_DEPTH + 1)) if q**k > 0.0)",

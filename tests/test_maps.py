@@ -198,6 +198,7 @@ def vanishing_tail_maps(draw):
 @example(LinearSeqMap((-0.5,), 0.0, 0.0, -0.0), BoundedSeq((0.0, 1.0), -1.0), BoundedSeq())  # -0.0 + 0.0 is 0.0
 @example(LinearSeqMap((0.5,)), BoundedSeq((0.0, 1e308)), BoundedSeq((0.0, -1e308)))  # an unread 1e308 + 1e308
 @example(LinearSeqMap((0.5,)), BoundedSeq((0.0,), 1e308), BoundedSeq((0.0,), -1e308))  # a tail whose sum is zero
+@example(LinearSeqMap((), 0.5, 0.5), BoundedSeq((1.0, 1.0)), BoundedSeq())  # the tail's powers from r**0
 def test_a_vanishing_tail_reads_the_head_and_keeps_every_bit(f, x, y):
     for z in (x, y):
         assert f.eval(z).hex() == full_loop_eval(f, z).hex()
@@ -239,17 +240,28 @@ class CoeffCountingMap(LinearSeqMap):
         return super().coeff_at(n)
 
 
-@pytest.mark.parametrize("head, tail, ratio, offset, calls", [
-    ((0.49, 0.49), 0.0, 0.0, 1.0, 2),  # the zero tail coefficient leaves the head
-    ((0.5,), 0.25, 0.0, 0.0, 2),  # the zero ratio leaves the head and the first tail coefficient
-    ((0.5,), 0.25, 0.5, 0.0, 2000),  # a tail reaches every coordinate
-])
-def test_eval_calls_coeff_at_only_where_a_coefficient_can_be_nonzero(monkeypatch, head, tail, ratio, offset, calls):
+class ReadCountingTuple(tuple):
+    """A prefix that records each index read from it, one at a time or by slice."""
+
+    def __getitem__(self, key):
+        self.reads.extend(range(len(self))[key] if isinstance(key, slice) else [key])
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("head, tail, ratio, offset, calls, reads", [
+    ((0.49, 0.49), 0.0, 0.0, 1.0, 2, 2),  # the zero tail coefficient leaves the head
+    ((0.5,), 0.25, 0.0, 0.0, 1, 2),  # the zero ratio leaves the head and the first tail coefficient
+    ((0.5,), 0.25, 0.5, 0.0, 1, 2000),  # a tail reaches every coordinate
+], ids=["zero-tail", "zero-ratio", "tailed"])
+def test_eval_reads_the_live_coordinates_and_only_the_head_through_coeff_at(
+        monkeypatch, head, tail, ratio, offset, calls, reads):
     monkeypatch.setattr(CoeffCountingMap, "calls", 0)
     f = CoeffCountingMap(head, tail, ratio, offset)
-    x = BoundedSeq(tuple(float(n + 1) for n in range(2000)), 0.0)
-    value = f.eval(x)
-    assert CoeffCountingMap.calls == calls
+    prefix = ReadCountingTuple(float(n + 1) for n in range(2000))
+    prefix.reads = []
+    value = f.eval(BoundedSeq._trusted(prefix, 0.0))
+    assert (CoeffCountingMap.calls, len(prefix.reads)) == (calls, reads)
+    x = BoundedSeq(tuple(prefix), 0.0)
     assert value.hex() == full_loop_eval(LinearSeqMap(head, tail, ratio, offset), x).hex()
 
 
@@ -260,13 +272,29 @@ class FullLoopMap(LinearSeqMap):
         return full_loop_eval(self, x)
 
 
-def test_a_zero_tail_solve_is_the_full_loop_solve_bit_for_bit():
-    f, full = LinearSeqMap((0.49, 0.49), offset=1.0), FullLoopMap((0.49, 0.49), offset=1.0)
+def solve_against_the_full_loop(head, tail, ratio, offset):
+    """Solve from the zero sequence at tol 1e-9 with ``eval`` and with :func:`full_loop_eval`; return k_used.
+
+    The values, step counts and every trace step agree bit for bit.
+    """
+    f, full = LinearSeqMap(head, tail, ratio, offset), FullLoopMap(head, tail, ratio, offset)
     cert = find_sup_certificate(f)
     ours, theirs = (solve_fixed_point(g, BoundedSeq.constant(0.0), cert, 1e-9) for g in (f, full))
     assert (ours.value.hex(), ours.k_used) == (theirs.value.hex(), theirs.k_used)
-    assert ours.k_used == 1861
-    assert [s.value.hex() for s in ours.trace.steps] == [s.value.hex() for s in theirs.trace.steps]
+    assert [repr(s) for s in ours.trace.steps] == [repr(s) for s in theirs.trace.steps]  # repr keeps every bit
+    return ours.k_used
+
+
+def test_a_zero_tail_solve_is_the_full_loop_solve_bit_for_bit():
+    assert solve_against_the_full_loop((0.49, 0.49), 0.0, 0.0, 1.0) == 1861
+
+
+@pytest.mark.parametrize("head, tail, ratio, offset, k_used", [
+    ((1.0 / 3.0,), 1.0 / 6.0, 0.5, 1.0, 123),  # README's map, b_n = 1/(3 * 2^n)
+    ((0.3, -0.2), 0.1, -0.7, -1.5, 37),  # an alternating tail
+], ids=["readme", "negative-ratio"])
+def test_a_tailed_solve_is_the_full_loop_solve_bit_for_bit(head, tail, ratio, offset, k_used):
+    assert solve_against_the_full_loop(head, tail, ratio, offset) == k_used
 
 
 def test_coefficient_sums():
