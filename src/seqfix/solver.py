@@ -61,8 +61,12 @@ class ContractionCertificate(ABC):
             raise ValueError(f"iterate index must be >= 1, got {k}")
         if not d1 >= 0.0:
             raise ValueError(f"first-step displacement must be nonnegative, got {d1}")
-        sf = self.step_factor()
-        return self.lip * sf ** (k - 1) / (1.0 - sf) * d1
+        return _a_priori(self.lip, self.step_factor(), k, d1)
+
+
+def _a_priori(lip: float, sf: float, k: int, d1: float) -> float:
+    """The a priori error bound ``lip * sf**(k-1) / (1 - sf) * d1`` of the k-th iterate, for step factor ``sf < 1``."""
+    return lip * sf ** (k - 1) / (1.0 - sf) * d1
 
 
 @dataclass(frozen=True)
@@ -153,28 +157,40 @@ def generalized_iterates(
     Each step records the residual |f(t, t, ...) - t| at the new value; with
     a certificate, the a priori error bound is recorded as well (computed
     from the displacement between the first lifted sequence and the start).
-    Step k of the default lifted iteration reads a sequence of about k
-    coordinates, so a ``k_max`` whose lengths 1 + ... + k_max sum to more
-    than :data:`_STEP_BUDGET` is refused before any lift.
+    The rows are the first ``k_max`` of :func:`_lifted_steps`, the ones
+    :func:`solve_fixed_point` stops on, so a solve's trace is
+    ``generalized_iterates(f, x0, k_used, cert)``, row for row. Step k of
+    the default lifted iteration reads a sequence of about k coordinates,
+    so a ``k_max`` whose lengths 1 + ... + k_max sum to more than
+    :data:`_STEP_BUDGET` is refused before any lift.
     """
     k_max = ensure_count(k_max, "k_max", 1)
-    _check_quadratic_work(k_max, "k_max", "lifted sequence lengths")
-    values, lifted = _lifted_iterates(f, x0)
-    d1 = cert.gap(lifted, x0) if cert is not None else None
-    steps = tuple(TraceStep(k, v, None if cert is None else cert.a_priori_bound(k, d1), abs(f.diagonal(v) - v))
-                  for k, v in enumerate(islice(values, k_max), 1))
-    return IterationTrace(steps, d1)
+    _check_budget(work := k_max * (k_max + 1) // 2, f"k_max {k_max} makes the lifted sequence lengths sum to {work},")
+    d1, rows = _lifted_steps(f, x0, cert)
+    return IterationTrace(tuple(step for step, _ in islice(rows, k_max)), d1)
 
 
-def _lifted_iterates(f: SeqMap, x0: BoundedSeq) -> tuple[Iterator[float], BoundedSeq]:
-    """The iterates v_1, v_2, ... of ``f.iterates(x0)`` and the first lifted sequence ``x0.prepend(v_1)``.
+def _lifted_steps(f: SeqMap, x0: BoundedSeq,
+                  cert: ContractionCertificate | None) -> tuple[float | None, Iterator[tuple[TraceStep, float]]]:
+    """The first-step displacement d1 and, lazily, each lift's row with its diagonal value.
 
-    The distance from ``x0`` to that sequence, in a certificate's metric, is
-    the first-step displacement d1 of its a priori bound.
+    d1 is the distance from ``x0`` to the first lifted sequence
+    ``x0.prepend(v_1)`` in ``cert``'s metric, None without a certificate.
+    The k-th row is ``(TraceStep(k, v_k, bound, |d_k - v_k|), d_k)`` for
+    the k-th value v_k of ``f.iterates(x0)``, its a priori bound (None
+    without a certificate) and ``d_k = f(v_k, v_k, ...)``. v_1 is lifted
+    here; v_k for k > 1 only when row k is drawn.
     """
     values = f.iterates(x0)
     v1 = next(values)
-    return chain((v1,), values), x0.prepend(v1)
+    d1 = None if cert is None else cert.gap(x0.prepend(v1), x0)
+
+    def rows() -> Iterator[tuple[TraceStep, float]]:
+        for k, v in enumerate(chain((v1,), values), 1):
+            dv = f.diagonal(v)
+            yield TraceStep(k, v, None if cert is None else cert.a_priori_bound(k, d1), abs(dv - v)), dv
+
+    return d1, rows()
 
 
 #: bisection steps on [0, 1]: the floats just below 1 are 2**-53 apart, so 53 halvings can reach 1 - 2**-53
@@ -262,16 +278,14 @@ def sup_certificate_from_p(cert: PCertificate) -> SupCertificate | None:
 _STEP_BUDGET = 10**6
 
 
-def _check_quadratic_work(count: int, what: str, summed: str) -> None:
-    """Refuse a count whose work 1 + 2 + ... + count, n steps of O(n) each, is over :data:`_STEP_BUDGET`."""
-    if (work := count * (count + 1) // 2) > _STEP_BUDGET:
-        raise ValueError(f"{what} {count} makes the {summed} sum to {work}, more than the step budget {_STEP_BUDGET}")
+def _check_budget(work: int, says: str) -> None:
+    """Refuse ``work`` steps over :data:`_STEP_BUDGET` with ``ValueError("<says> more than the step budget ...")``.
 
-
-def _check_step_count(k_max: int) -> None:
-    """Refuse a ``k_max`` over :data:`_STEP_BUDGET`, for a loop whose steps do not grow with k."""
-    if k_max > _STEP_BUDGET:
-        raise ValueError(f"k_max {k_max} is more than the step budget {_STEP_BUDGET}")
+    A loop over k = 1 .. n works 1 + 2 + ... + n steps when step k costs
+    O(k), and n when it costs O(1); a planned run works its plan.
+    """
+    if work > _STEP_BUDGET:
+        raise ValueError(f"{says} more than the step budget {_STEP_BUDGET}")
 
 
 def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
@@ -281,13 +295,8 @@ def _smallest_k(cert: ContractionCertificate, d1: float, tol: float) -> int:
     index is above :data:`_STEP_BUDGET`.
     """
     k = _plan_length(cert.lip, cert.step_factor(), d1, tol)
-    if k > _STEP_BUDGET:
-        raise _over_budget(k)
+    _check_budget(k, f"the a priori bound plans {k} steps,")
     return k
-
-
-def _over_budget(plan: int) -> ValueError:
-    return ValueError(f"the a priori bound plans {plan} steps, more than the step budget {_STEP_BUDGET}")
 
 
 def _below_resolution(tol: float, why: str) -> ValueError:
@@ -303,11 +312,7 @@ def _plan_length(lip: float, sf: float, d1: float, tol: float) -> int:
     bound that their ratio underflows to 0.0: such a tolerance is below
     float resolution.
     """
-
-    def bound(k: int) -> float:
-        return lip * sf ** (k - 1) / (1.0 - sf) * d1
-
-    first = bound(1)
+    first = _a_priori(lip, sf, 1, d1)
     if first <= tol:
         return 1
     if not first < math.inf:
@@ -317,9 +322,9 @@ def _plan_length(lip: float, sf: float, d1: float, tol: float) -> int:
     if shrink == 0.0:
         raise _below_resolution(tol, f"its ratio to the first a priori bound {first:.3e} underflows to 0")
     k = 1 + max(0, math.ceil(math.log(shrink) / math.log(sf)))
-    while bound(k) > tol:
+    while _a_priori(lip, sf, k, d1) > tol:
         k += 1
-    while k > 1 and bound(k - 1) <= tol:
+    while k > 1 and _a_priori(lip, sf, k - 1, d1) <= tol:
         k -= 1
     return k
 
@@ -403,8 +408,7 @@ def _diagonal_fixed_point(d: Callable[[float], float], t: float, c: float, tol: 
         else:
             kept, d0, last = None, t - prev, step
             prev, t = t, d(t)
-    if plan > _STEP_BUDGET:
-        raise _over_budget(plan)
+    _check_budget(plan, f"the a priori bound plans {plan} steps,")
     roundoff = _roundoff(step, prev, t, tol, room)
     if c * step / (1.0 + c) + roundoff <= room:
         return t + math.copysign(c * c * step / (1.0 - c * c), t - prev)
@@ -437,7 +441,10 @@ def solve_fixed_point(
     :func:`_roundoff` is at most ``tol·(1 - c)``, before it lifts again, so
     ``k_used`` lifted steps run in all. It raises ``ValueError`` there at
     once when the residual is within δ and δ alone leaves no room: ``tol``
-    is below float resolution.
+    is below float resolution. The stop reads the rows of
+    :func:`_lifted_steps` that :func:`generalized_iterates` records, so
+    the solution's trace is ``generalized_iterates(f, x0, k_used, cert)``,
+    row for row.
 
     The smallest count whose a priori bound is at most ``tol`` caps the
     run, and a plan over :data:`_STEP_BUDGET` is refused before any step.
@@ -449,17 +456,15 @@ def solve_fixed_point(
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    values, lifted = _lifted_iterates(f, x0)
-    d1 = cert.gap(lifted, x0)
+    d1, rows = _lifted_steps(f, x0, cert)
     plan = _smallest_k(cert, d1, tol)
     c = cert.diagonal_lip()
     room = tol * (1.0 - c)
     steps = []
-    for k, v in enumerate(islice(values, plan), 1):
-        dv = f.diagonal(v)
-        residual = abs(dv - v)
-        steps.append(TraceStep(k, v, cert.a_priori_bound(k, d1), residual))
-        roundoff = _roundoff(residual, v, dv, tol, room)
+    for step, dv in islice(rows, plan):
+        steps.append(step)
+        residual = step.residual
+        roundoff = _roundoff(residual, step.value, dv, tol, room)
         if residual + roundoff <= room:
             break
     else:
@@ -471,7 +476,7 @@ def solve_fixed_point(
             )
         if residual > allowance:
             raise _below_resolution(tol, "roundoff blocks the stop")
-    return FixedPointSolution(v, k, IterationTrace(tuple(steps), d1))
+    return FixedPointSolution(step.value, step.k, IterationTrace(tuple(steps), d1))
 
 
 @dataclass(frozen=True)
@@ -499,7 +504,7 @@ def secelean_iterates(
     A ``k_max`` above :data:`_STEP_BUDGET` is refused before any step.
     """
     k_max = ensure_count(k_max, "k_max", 0)
-    _check_step_count(k_max)
+    _check_budget(k_max, f"k_max {k_max} is")
     if lip is None:
         lip = f.lip_sup(1.0)
         if lip == math.inf:
@@ -533,7 +538,7 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
     if len(seeds) != g.arity:
         raise ValueError(f"expected {g.arity} seeds, got {len(seeds)}")
     k_max = ensure_count(k_max, "k_max", 0)
-    _check_step_count(k_max)
+    _check_budget(k_max, f"k_max {k_max} is")
     window = tuple(reversed([ensure_finite(s, "seed") for s in seeds]))
     return list(islice(g.iterates(window), k_max))
 
@@ -586,7 +591,7 @@ def truncation_study(
     if not isinstance(cert, SupCertificate):
         raise ValueError(f"truncation_study needs a SupCertificate, got {type(cert).__name__}")
     n_max = ensure_count(n_max, "n_max", 1)
-    _check_quadratic_work(n_max, "n_max", "arities")
+    _check_budget(work := n_max * (n_max + 1) // 2, f"n_max {n_max} makes the arities sum to {work},")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     base = ensure_finite(base, "base point")

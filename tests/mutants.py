@@ -54,9 +54,23 @@ MUTANTS = [
      "if residual - roundoff <= room:",
      ["tests/test_solver.py::test_a_residual_that_fills_the_room_does_not_stop_the_solve"]),
     ("solve_fixed_point takes tol = 0", SOLVER,
-     'if not tol > 0.0:\n        raise ValueError(f"tolerance must be positive, got {tol}")\n    values, lifted',
-     'if not tol >= 0.0:\n        raise ValueError(f"tolerance must be positive, got {tol}")\n    values, lifted',
+     'if not tol > 0.0:\n        raise ValueError(f"tolerance must be positive, got {tol}")\n    d1, rows',
+     'if not tol >= 0.0:\n        raise ValueError(f"tolerance must be positive, got {tol}")\n    d1, rows',
      [f"{OUT_OF_RANGE}[solve-zero-tol]"]),
+    ("the step budget refuses work equal to it", SOLVER,
+     "if work > _STEP_BUDGET:",
+     "if work >= _STEP_BUDGET:",
+     ["tests/test_solver.py::test_k_max_over_the_step_budget_is_refused_before_any_lift",
+      "tests/test_solver.py::test_an_iterated_k_max_over_the_step_budget_is_refused_before_any_step"]),
+    ("the a priori bound's powers start at sf**k", SOLVER,
+     "lip * sf ** (k - 1) / (1.0 - sf) * d1",
+     "lip * sf ** k / (1.0 - sf) * d1",
+     ["tests/test_solver.py::test_a_priori_bound_examples",
+      "tests/test_solver.py::test_smallest_k_corrects_the_closed_form_at_an_exact_bound"]),
+    ("the lifted engine hands the solve v in place of f(v, v, ...)", SOLVER,
+     "abs(dv - v)), dv",
+     "abs(dv - v)), v",
+     ["tests/test_solver.py::test_the_solve_roundoff_reads_the_larger_of_the_iterate_and_its_diagonal_value"]),
     ("secelean_iterates takes lip = 1", SOLVER,
      "if not 0.0 <= lip < 1.0:\n        raise UncertifiedMapError",
      "if not 0.0 <= lip <= 1.0:\n        raise UncertifiedMapError",

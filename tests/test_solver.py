@@ -453,6 +453,18 @@ def test_tolerance_below_float_resolution_is_not_a_bound_violation():
     assert solve_fixed_point(RECUR, ZERO, cert, 1e-12).value == pytest.approx(3.0, abs=1e-12)
 
 
+def test_the_solve_roundoff_reads_the_larger_of_the_iterate_and_its_diagonal_value():
+    # the iterates alternate around the fixed point 2: at step 32, v sits a binade below f(v, v, ...) = 2.0, and
+    # 4 ulps of 2.0 leave no room for the stop; 4 ulps of v alone would let the run go on to its cap and return
+    f = LinearSeqMap((-0.3266020035216024,), 0.0, 0.0, 2.653204007043205)
+    cert, tol = find_sup_certificate(f), 1.7689017446338546e-15
+    step = generalized_iterates(f, ZERO, 32, cert).steps[-1]
+    assert (step.value, f.diagonal(step.value)) == (2.0 - 2.0**-51, 2.0)
+    with pytest.raises(ValueError, match=r"^tolerance 1\.769e-15 is below float resolution: "
+                                         r"the residual 4\.441e-16 is within roundoff 1\.776e-15$"):
+        solve_fixed_point(f, ZERO, cert, tol)
+
+
 def test_residual_above_the_roundoff_floor_is_still_a_violation():
     f = LinearSeqMap((0.9,), offset=1.0)  # true constant 0.9, claimed 0.01
     with pytest.raises(BoundViolationError):
