@@ -262,16 +262,18 @@ def _certified(f: SeqMap) -> SupCertificate:
 
 
 def _certify(p: ProblemConfig, f: SeqMap, seed: int) -> tuple[str, list[str]]:
-    """Each certificate's row with its empirical lower bound; both rows score the same 200 pairs from ``seed``."""
+    """Each certificate's row with its empirical lower bound; every row scores the same 200 pairs from ``seed``.
+
+    The rows come from one list of (family, certificate, p), where p is None
+    for the sup family and so writes an empty p column.
+    """
     cert = find_sup_certificate(f)
     if cert is None:
         return "UNCERTIFIED", []
     pc = None if p.q0 is None else find_p_certificate(f, p.q0)
-    families = [(cert.q, None)] if pc is None else [(cert.q, None), (pc.q, pc.p)]
-    emps = _lip_lower_bounds(f, families, 200, seed)
-    rows = [f"sup,{_fmt(cert.q)},,{_fmt(cert.lip)},{_fmt(emps[0])}"]
-    if pc is not None:
-        rows.append(f"p,{_fmt(pc.q)},{_fmt(pc.p)},{_fmt(pc.lip)},{_fmt(emps[1])}")
+    certs = [("sup", cert, None)] + ([] if pc is None else [("p", pc, pc.p)])
+    emps = _lip_lower_bounds(f, [(c.q, fp) for _, c, fp in certs], 200, seed)
+    rows = [f"{family},{_fmt(c.q)},{_fmt(fp)},{_fmt(c.lip)},{_fmt(e)}" for (family, c, fp), e in zip(certs, emps)]
     return f"OK q={cert.q:.12g} lip={cert.lip:.12g}", rows
 
 

@@ -228,13 +228,14 @@ class LinearSeqMap(SeqMap):
         coordinate signal of deep witness pairs; the explicit difference form
         is the same number algebraically but keeps full relative precision.
         The coefficients and tail sums the pairs read are built once per
-        call, and each pair is summed left to right, then its tail added.
-        A term with a zero factor adds nothing: no coordinate past
-        :meth:`_live_terms` is read, and a pair whose sum is NaN, where a
-        zero factor met a difference or tail sum that overflowed
-        (0.0 * inf), is summed again over its terms without a zero factor.
-        Each term left out is a signed zero or such a NaN, so every other
-        sum keeps its bits: ``abs`` cannot tell a signed zero from the sum.
+        call, and each pair is summed once, left to right, then its tail
+        added. A term with a zero factor adds nothing: no coordinate past
+        :meth:`_live_terms` is read, a head term adds only where its
+        coefficient is nonzero, and the tail term only where both the tails'
+        difference and the tail sum are nonzero. So a zero factor never meets
+        a difference or tail sum that overflowed (0.0 * inf is NaN). Each
+        term left out is a signed zero or such a NaN, so every other sum keeps
+        its bits: ``abs`` cannot tell a signed zero from the sum.
         """
         spans = [max(len(a.prefix), len(b.prefix)) for a, b in pairs]
         live = self._live_terms(max(spans, default=0))
@@ -244,17 +245,10 @@ class LinearSeqMap(SeqMap):
         for (a, b), m in zip(pairs, spans):
             acc = 0.0
             for c, u, v in zip(coeffs, a.head(m), b.head(m)):
-                acc += c * (u - v)
-            total = abs(acc + (a.tail - b.tail) * tails[m])
-            if total != total:  # NaN, as where a zero factor meets an overflow (0.0 * inf)
-                terms = [(c, u - v) for c, u, v in zip(coeffs, a.head(m), b.head(m))]
-                terms.append((tails[m], a.tail - b.tail))
-                acc = 0.0
-                for c, d in terms:
-                    if c and d:
-                        acc += c * d
-                total = abs(acc)
-            out.append(total)
+                if c:
+                    acc += c * (u - v)
+            d, t = a.tail - b.tail, tails[m]
+            out.append(abs(acc + d * t if d and t else acc))
         return out
 
     def witnesses(self, q: float, p: float | None) -> Iterator[BoundedSeq]:
@@ -263,8 +257,9 @@ class LinearSeqMap(SeqMap):
         It checks q, then p, as the distance at (p, q) does.
         The sup (p None) and power (p > 1) witnesses put 0.0 at zero
         coefficients and end before the first coordinate that is not a finite
-        float, because its weight q**k underflowed; a shorter witness still
-        bounds the constant from below.
+        float, because its weight q**k is tiny: the coordinate overflows,
+        divides by a weight that underflowed to 0.0, or is inf. A shorter
+        witness still bounds the constant from below.
 
         For p = 1 the constant is sup_k |b_k| / q**k, and the witness is the
         unit vector e_k at the first k <= 64 that maximizes
@@ -288,12 +283,10 @@ class LinearSeqMap(SeqMap):
                 entries.append(0.0)
                 continue
             w = q**k
-            if w == 0.0:
-                break
             sign = math.copysign(1.0, b)
             try:
                 v = sign / w if p is None else sign * (abs(b) / w) ** (1.0 / (p - 1.0))
-            except OverflowError:
+            except (OverflowError, ZeroDivisionError):
                 break
             if not math.isfinite(v):
                 break

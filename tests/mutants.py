@@ -34,6 +34,7 @@ OUT_OF_RANGE = "tests/test_solver.py::test_out_of_range_arguments_raise"
 CAPPED_RUN = "tests/test_truncation.py::test_a_run_that_reaches_its_cap_returns_the_enclosure_midpoint"
 P1_WITNESS = "tests/test_maps.py::test_one_p1_witness_gives_the_bound_of_every_unit_vector"
 LIVE_READS = "tests/test_maps.py::test_eval_reads_the_live_coordinates_and_only_the_head_through_coeff_at"
+UNWEIGHED = "tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing"
 
 #: (what it breaks, file, source text, its replacement, the tests that must kill it)
 MUTANTS = [
@@ -139,14 +140,26 @@ MUTANTS = [
      "return acc if term != term and t == 0.0 else acc + term",
      "return acc + term",
      ["tests/test_maps.py::test_a_zero_tail_adds_nothing_to_a_tail_sum_that_overflows"]),
-    ("the NaN re-sum keeps the terms whose difference is zero", MAPS,
-     "                    if c and d:\n",
-     "                    if c:\n",
-     ["tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing[overflowing-tail-sum]"]),
-    ("the NaN re-sum keeps the zero coefficients", MAPS,
-     "                    if c and d:\n",
-     "                    if d:\n",
-     ["tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing[zero-head-coefficient]"]),
+    ("differences adds the terms of zero head coefficients", MAPS,
+     "                if c:\n                    acc += c * (u - v)\n",
+     "                acc += c * (u - v)\n",
+     [f"{UNWEIGHED}[zero-head-coefficient]"]),
+    ("differences adds the tail term where the tails' difference is zero", MAPS,
+     "if d and t else acc",
+     "if t else acc",
+     [f"{UNWEIGHED}[overflowing-tail-sum]"]),
+    ("differences adds the tail term where the tail sum is zero", MAPS,
+     "if d and t else acc",
+     "if d else acc",
+     [f"{UNWEIGHED}[zero-tail-sum]"]),
+    ("a witness runs on past a weight that underflowed to 0.0", MAPS,
+     "except (OverflowError, ZeroDivisionError):",
+     "except OverflowError:",
+     ["tests/test_maps.py::test_empirical_bound_survives_underflowing_weights"]),
+    ("a power certificate takes lip equal to (1 - q)**(1/p)", SOLVER,
+     "0.0 <= lip < (1.0 - q)",
+     "0.0 <= lip <= (1.0 - q)",
+     ["tests/test_solver.py::test_certificate_validation"]),
 ]
 
 

@@ -206,6 +206,24 @@ def test_a_vanishing_tail_reads_the_head_and_keeps_every_bit(f, x, y):
     assert [d.hex() for d in f.differences(pairs)] == [d.hex() for d in full_loop_differences(f, pairs)]
 
 
+@st.composite
+def tailed_maps(draw):
+    """A nonzero tail coefficient under a nonzero ratio, heads of 0-8; coefficients reach ±1e308 and signed zeros."""
+    head = tuple(draw(st.lists(ENTRIES, max_size=8)))
+    tail = draw(ENTRIES.filter(lambda b: b != 0.0))
+    ratio = draw(st.one_of(st.sampled_from([0.5, -0.5]), st.floats(-0.999, 0.999).filter(lambda r: r != 0.0)))
+    return LinearSeqMap(head, tail, ratio, draw(ENTRIES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tailed_maps(), SEQUENCES, SEQUENCES)
+@example(LinearSeqMap((0.5,), 1e308, 0.5), BoundedSeq((3.0,), 2.0), BoundedSeq((3.0,), 2.0))  # 0.0 * inf tail sum
+@example(LinearSeqMap((1.0,), 1e308, -0.5), BoundedSeq((1e308,), -1e308), BoundedSeq((-1e308,), 1e308))  # inf - inf
+def test_a_tailed_map_sums_each_pair_as_the_full_loop_does(f, x, y):
+    pairs = [(x, y), (y, x), (x, x)]
+    assert [d.hex() for d in f.differences(pairs)] == [d.hex() for d in full_loop_differences(f, pairs)]
+
+
 @pytest.mark.parametrize("f, x, y", [
     # x_1 - y_1 overflows at a coordinate past the head
     (LinearSeqMap((0.5,)), BoundedSeq((0.0, 1e308)), BoundedSeq((0.0, -1e308))),

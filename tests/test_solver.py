@@ -65,6 +65,10 @@ def test_certificate_validation():
         PCertificate(0.5, 0.5, 0.1)
     with pytest.raises(ValueError):
         PCertificate(1.0, 0.5, 0.5)  # needs lip < 1 - q
+    with pytest.raises(ValueError):
+        # lip is (1 - q)**(1/4) exactly, yet the step factor rounds to 0.9999999999999999:
+        # in floats a step factor below 1 does not imply lip < (1 - q)**(1/p)
+        PCertificate(4.0, 0.2550690257394217, 0.9290284380029116)
     PCertificate(1.0, 0.5, 0.4)
 
 
