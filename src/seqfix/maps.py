@@ -555,29 +555,26 @@ def _lip_lower_bounds(f: SeqMap, families: Sequence[tuple[float, float | None]],
     distance otherwise. The ``trials`` pairs are drawn from ``seed`` in the
     map's domain, [-1, 1] when it has none. Each family pairs its own
     :meth:`SeqMap.witnesses` with the zero sequence, and one
-    :meth:`SeqMap.differences` call takes every pair's difference once, the
-    drawn pairs first. Each family's maximum then runs over the same ratios,
-    in the same order, as a call for that family alone.
+    :meth:`SeqMap.differences` call takes every pair's difference once: the
+    drawn pairs first, then each family's witnesses in family order. Each
+    family scores the drawn rows ``(pair, difference)``, then its own
+    witness rows, under a distance built for those pairs, so its maximum
+    runs over the same ratios, in the same order, as a call for that family
+    alone.
     """
     rng = random.Random(seed)
     lo, hi = f.domain if f.domain is not None else (-1.0, 1.0)
     pairs = [(_random_seq(rng, lo, hi), _random_seq(rng, lo, hi)) for _ in range(trials)]
     zero = BoundedSeq.constant(0.0)
     witnessed = [[(w, zero) for w in f.witnesses(q, p)] for q, p in families]
-    everything = pairs + [pair for own in witnessed for pair in own]
-    diffs = f.differences(everything)
-    length = max((len(x.prefix) for pair in everything for x in pair), default=0)
+    diffs = iter(f.differences(pairs + [pair for own in witnessed for pair in own]))
+    drawn = list(zip(pairs, diffs))
     best = []
-    start = trials
     for (q, p), own in zip(families, witnessed):
-        dist = _geom_distance(q, p, length)
-        top = 0.0
-        for (a, b), diff in zip(pairs + own, diffs[:trials] + diffs[start:start + len(own)]):
-            d = dist(a, b)
-            if d > 0.0:
-                top = max(top, diff / d)
-        start += len(own)
-        best.append(top)
+        rows = drawn + list(zip(own, diffs))
+        dist = _geom_distance(q, p, max((len(x.prefix) for pair, _ in rows for x in pair), default=0))
+        ratios = (diff / d for (a, b), diff in rows if (d := dist(a, b)) > 0.0)
+        best.append(max([0.0, *ratios]))  # led by 0.0, so a NaN ratio never becomes the maximum
     return best
 
 

@@ -18,7 +18,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 
 # lift_step lives in maps, where SeqMap.iterates calls it; seqfix.solver.lift_step stays public
 from .maps import FiniteArityMap, SeqMap, lift_step, truncate  # noqa: F401
@@ -201,19 +201,21 @@ def _crossing(lip_at: Callable[[float], float]) -> SupCertificate | None:
     """The sup certificate at the weight where ``lip_at`` falls to the weight itself, or None.
 
     Bisects [0, 1] for a weight ``hi`` with ``lip_at(hi) <= hi < 1`` and
-    returns ``SupCertificate(hi, lip_at(hi))``; None when no tested weight
-    q had ``lip_at(q) <= q``, so ``hi`` stayed 1.0. When ``lip_at`` does not
+    returns ``SupCertificate(hi, lip_at(hi))`` with the value the bisection
+    accepted ``hi`` on, so ``lip_at`` is evaluated once per step,
+    :data:`_BISECT_STEPS` times in all; None when no tested weight q had
+    ``lip_at(q) <= q``, so ``hi`` stayed 1.0. When ``lip_at`` does not
     increase with q, ``max(lip_at(q), q)`` is smallest at the crossing, and
     ``hi`` lies within 2**-53 above it.
     """
-    lo, hi = 0.0, 1.0
+    lo, hi, lip = 0.0, 1.0, math.inf
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if lip_at(mid) <= mid:
-            hi = mid
+        if (value := lip_at(mid)) <= mid:
+            hi, lip = mid, value
         else:
             lo = mid
-    return SupCertificate(hi, lip_at(hi)) if hi < 1.0 else None
+    return SupCertificate(hi, lip) if hi < 1.0 else None
 
 
 def find_sup_certificate(f: SeqMap) -> SupCertificate | None:
@@ -227,24 +229,22 @@ def find_sup_certificate(f: SeqMap) -> SupCertificate | None:
     return _crossing(f.lip_sup)
 
 
-_P_GRID_MAX = 2**20
+#: the exponents find_p_certificate tries, in order: 1, 2, 4, ..., 2**20
+_P_GRID = tuple(2.0**k for k in range(21))
 
 
 def find_p_certificate(f: SeqMap, q0: float) -> PCertificate | None:
-    """Search a doubling exponent grid for a power-distance certificate at q0.
+    """The power-distance certificate at q0 for the first exponent of :data:`_P_GRID` that has one.
 
-    Existence for certifiable maps is guaranteed for some exponent, but with
-    no computable cap, so exhausting the grid is reported as None rather
-    than treated as disproof. A map without :meth:`SeqMap.lip_p` exhausts it.
+    ``f.lip_p(p, q0)`` is evaluated at p = 1, 2, 4, ..., 2**20 in turn, up
+    to the first p whose constant makes a :class:`PCertificate`. Existence
+    for certifiable maps is guaranteed for some exponent, but with no
+    computable cap, so exhausting the grid is reported as None rather than
+    treated as disproof. A map without :meth:`SeqMap.lip_p` exhausts it.
     """
     q0 = ensure_weight(q0, "q0")
-    p = 1.0
-    while p <= _P_GRID_MAX:
-        cert = _p_certificate(p, q0, f.lip_p(p, q0))
-        if cert is not None:
-            return cert
-        p *= 2.0
-    return None
+    certs = (_p_certificate(p, q0, f.lip_p(p, q0)) for p in _P_GRID)
+    return next((cert for cert in certs if cert is not None), None)
 
 
 def _p_certificate(p: float, q: float, lip: float) -> PCertificate | None:
@@ -501,7 +501,10 @@ def secelean_iterates(
     recorded bound is
     ``lip**(k+1) / (1 - lip) * max_i |f(x_i, x_i, ...) - x_i|``, a finite
     maximum because the start has finitely many distinct coordinates.
-    A ``k_max`` above :data:`_STEP_BUDGET` is refused before any step.
+    Row k reads the sequence D^k x, where D maps every coordinate through
+    ``f.diagonal``: row 0 reads x itself, and a run takes k_max steps of D,
+    none after its last row. A ``k_max`` above :data:`_STEP_BUDGET` is
+    refused before any step.
     """
     k_max = ensure_count(k_max, "k_max", 0)
     _check_budget(k_max, f"k_max {k_max} is")
@@ -514,12 +517,8 @@ def secelean_iterates(
     if not 0.0 <= lip < 1.0:
         raise UncertifiedMapError(f"diagonal iteration needs a sup-distance constant < 1, got {lip}")
     gap = max(abs(f.diagonal(v) - v) for v in x.values())
-    rows: list[SeceleanStep] = []
-    cur = x
-    for k in range(k_max + 1):
-        rows.append(SeceleanStep(k, f.eval(cur), lip ** (k + 1) / (1.0 - lip) * gap))
-        cur = cur.map_values(f.diagonal)
-    return rows
+    seqs = accumulate(range(k_max), lambda cur, _: cur.map_values(f.diagonal), initial=x)
+    return [SeceleanStep(k, f.eval(cur), lip ** (k + 1) / (1.0 - lip) * gap) for k, cur in enumerate(seqs)]
 
 
 def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> list[float]:

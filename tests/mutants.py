@@ -156,6 +156,22 @@ MUTANTS = [
      "except (OverflowError, ZeroDivisionError):",
      "except OverflowError:",
      ["tests/test_maps.py::test_empirical_bound_survives_underflowing_weights"]),
+    ("the sup search keeps the first accepted constant, not the one at its crossing", SOLVER,
+     "hi, lip = mid, value",
+     "hi, lip = mid, (value if lip == math.inf else lip)",
+     ["tests/test_solver.py::test_the_sup_search_evaluates_lip_sup_once_per_bisection_step"]),
+    ("the p grid stops one exponent short of 2**20", SOLVER,
+     "_P_GRID = tuple(2.0**k for k in range(21))",
+     "_P_GRID = tuple(2.0**k for k in range(20))",
+     ["tests/test_solver.py::test_the_p_search_tries_each_exponent_of_its_grid_once"]),
+    ("a family scores only its witnesses, without the drawn pairs", MAPS,
+     "rows = drawn + list(zip(own, diffs))",
+     "rows = list(zip(own, diffs))",
+     ["tests/test_maps.py::test_empirical_bounds_keep_their_bits[map25]"]),
+    ("secelean_iterates takes a diagonal step before row 0", SOLVER,
+     "initial=x)",
+     "initial=x.map_values(f.diagonal))",
+     ["tests/test_solver.py::test_secelean_separation_fixture"]),
     ("a power certificate takes lip equal to (1 - q)**(1/p)", SOLVER,
      "0.0 <= lip < (1.0 - q)",
      "0.0 <= lip <= (1.0 - q)",

@@ -14,6 +14,7 @@ from seqfix import (
     FiniteArityMap,
     LinearSeqMap,
     PCertificate,
+    SeceleanStep,
     SeqMap,
     SupCertificate,
     SupHalfMap,
@@ -33,7 +34,7 @@ from seqfix import (
     truncate,
     truncation_study,
 )
-from seqfix.solver import _ROUNDOFF_ULPS, _STEP_BUDGET, _diagonal_fixed_point, _smallest_k
+from seqfix.solver import _BISECT_STEPS, _ROUNDOFF_ULPS, _STEP_BUDGET, _diagonal_fixed_point, _smallest_k
 
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
 RECUR_CERT = SupCertificate(0.8, RECUR.lip_sup(0.8))  # lip = 8/9
@@ -252,6 +253,45 @@ def test_sup_certificate_from_p():
             assert f.lip_sup(back.q) <= back.lip + 1e-9
 
 
+class LipCounting(LinearSeqMap):
+    """A linear map that records the argument of each lip_sup call (q) and lip_p call (p)."""
+
+    calls: list = []
+
+    def lip_sup(self, q):
+        LipCounting.calls.append(q)
+        return super().lip_sup(q)
+
+    def lip_p(self, p, q):
+        LipCounting.calls.append(p)
+        return super().lip_p(p, q)
+
+
+def test_the_sup_search_evaluates_lip_sup_once_per_bisection_step(monkeypatch):
+    monkeypatch.setattr(LipCounting, "calls", [])
+    f = LipCounting(RECUR.head_coeffs, RECUR.tail_coeff, RECUR.tail_ratio, RECUR.offset)
+    cert = find_sup_certificate(f)
+    assert len(LipCounting.calls) == _BISECT_STEPS == 53
+    # the crossing and its constant, bit for bit: the value that accepted the crossing is lip_sup there
+    assert cert == SupCertificate(float.fromhex("0x1.aaaaaaaaaaaabp-1"), float.fromhex("0x1.aaaaaaaaaaaaap-1"))
+    assert cert.lip == RECUR.lip_sup(cert.q) and cert.q in LipCounting.calls
+
+
+def test_the_p_search_tries_each_exponent_of_its_grid_once(monkeypatch):
+    monkeypatch.setattr(LipCounting, "calls", [])
+    assert find_p_certificate(LipCounting((0.0, 1.0)), 0.5) is None  # a unit coefficient never qualifies
+    assert LipCounting.calls == [2.0**k for k in range(21)]
+
+    class LastExponentOnly(SeqMap):
+        def eval(self, x):
+            return 0.0
+
+        def lip_p(self, p, q):
+            return 0.0 if p == 2.0**20 else math.inf
+
+    assert find_p_certificate(LastExponentOnly(), 0.5) == PCertificate(2.0**20, 0.5, 0.0)
+
+
 def test_solve_fixed_point_recursion_map():
     sol = solve_fixed_point(RECUR, ZERO, RECUR_CERT, 1e-6)
     assert abs(sol.value - 3.0) <= 1e-6
@@ -372,6 +412,31 @@ def test_secelean_refuses_unverifiable_maps():
         secelean_iterates(LinearSeqMap((1.5,)), ZERO, 5)  # constant >= 1
     rows = secelean_iterates(Opaque(), ZERO, 5, lip=0.0)  # caller-supplied constant
     assert rows[0].value == 0.0
+
+
+def test_secelean_takes_no_diagonal_step_after_its_last_row():
+    # the diagonal at 1.7e308 overflows: a step after row 0 would raise, but the one row needs none
+    f = LinearSeqMap((0.5, 1e-10), offset=1e308)
+    rows = secelean_iterates(f, BoundedSeq((0.0, 1.7e308), 0.0), 0)
+    assert rows == [SeceleanStep(k=0, value=1.0000000001700001e308, bound=math.inf)]
+
+
+class DiagonalCounting(LinearSeqMap):
+    """A linear map that records the argument of each diagonal call."""
+
+    calls: list = []
+
+    def diagonal(self, t):
+        DiagonalCounting.calls.append(t)
+        return super().diagonal(t)
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 7])
+def test_secelean_maps_a_constant_start_once_per_step(monkeypatch, k_max):
+    monkeypatch.setattr(DiagonalCounting, "calls", [])
+    rows = secelean_iterates(DiagonalCounting((0.25,), offset=1.0), BoundedSeq.constant(0.0), k_max)
+    assert len(DiagonalCounting.calls) == k_max + 1  # the gap at the one value, then k_max steps of its tail
+    assert [r.k for r in rows] == list(range(k_max + 1))
 
 
 def test_presic_iterates_converge():
