@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
 
-from .maps import FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, _lip_lower_bounds, embed_finite
-from .sequences import BoundedSeq, ensure_finite
+from .maps import FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, _lip_lower_bounds
+from .sequences import BoundedSeq, _left_sum, ensure_finite
 from .solver import (
     BoundViolationError,
     IterationTrace,
@@ -199,9 +199,9 @@ def _build_presic(params: dict) -> SeqMap:
     offset = params["offset"]
 
     def rule(*args: float) -> float:
-        return sum(c * a for c, a in zip(coeffs, args)) + offset
+        return _left_sum(c * a for c, a in zip(coeffs, args)) + offset
 
-    return embed_finite(FiniteArityMap(len(coeffs), rule, sum(abs(c) for c in coeffs)))
+    return FiniteArityMap(len(coeffs), rule, _left_sum(map(abs, coeffs)))
 
 
 #: map kind -> (its parameter keys, normalize its parameters, build the map from them)

@@ -8,10 +8,11 @@ geometric-weight sup and power distances have closed forms (possibly
 solver's contraction certificates are built from.
 
 Also provided: the half-supremum map (contractive for the unweighted sup
-distance yet never admitting a geometric-weight certificate), embeddings
-of finite-arity maps, truncations of sequence maps to finitely many
-coordinates, and a randomized lower bound on true Lipschitz constants
-that uses near-extremal witness pairs for linear maps.
+distance yet never admitting a geometric-weight certificate), finite-arity
+maps, which are the sequence maps that read their first m coordinates,
+truncations of sequence maps to finitely many coordinates, and a
+randomized lower bound on true Lipschitz constants that uses
+near-extremal witness pairs for linear maps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .metrics import _geom_distance, ensure_exponent, ensure_weight
-from .sequences import BoundedSeq, ensure_count, ensure_finite
+from .sequences import BoundedSeq, _left_sum, ensure_count, ensure_finite
 
 
 #: deepest coordinate index a linear map's witness inputs reach
@@ -147,7 +148,7 @@ class LinearSeqMap(SeqMap):
         n = len(self.head_coeffs)
         geo = self.tail_coeff / (1.0 - self.tail_ratio)
         if m <= n:
-            return sum(self.head_coeffs[m:]) + geo
+            return _left_sum(self.head_coeffs[m:]) + geo
         return geo * self.tail_ratio ** (m - n)
 
     def sum_coeffs(self) -> float:
@@ -156,7 +157,7 @@ class LinearSeqMap(SeqMap):
 
     def sum_abs_coeffs(self) -> float:
         """Sum of |b_n|; equals the Lipschitz constant for the plain sup distance."""
-        return sum(abs(b) for b in self.head_coeffs) + abs(self.tail_coeff) / (1.0 - abs(self.tail_ratio))
+        return _left_sum(map(abs, self.head_coeffs)) + abs(self.tail_coeff) / (1.0 - abs(self.tail_ratio))
 
     def _live_terms(self, m: int) -> int:
         """How many of the first ``m`` coefficients can be nonzero.
@@ -312,7 +313,7 @@ class LinearSeqMap(SeqMap):
         The frozen coordinates add nothing, where the default hint
         ``lip_sup(1.0)`` sums every |b_k|.
         """
-        return sum((abs(self.coeff_at(k)) for k in range(self._live_terms(n))), 0.0)
+        return _left_sum(abs(self.coeff_at(k)) for k in range(self._live_terms(n)))
 
     def lip_sup(self, q: float) -> float:
         """Lipschitz constant for the q-weighted sup distance: sum_n |b_n| / q**n.
@@ -328,7 +329,7 @@ class LinearSeqMap(SeqMap):
         r = abs(self.tail_ratio)
         if (self.tail_coeff != 0.0 and r >= q) or self._weight_underflows(q):
             return math.inf
-        total = sum((abs(b) / q**k for k, b in enumerate(self.head_coeffs) if b != 0.0), 0.0)
+        total = _left_sum(abs(b) / q**k for k, b in enumerate(self.head_coeffs) if b != 0.0)
         if self.tail_coeff != 0.0:
             total += (abs(self.tail_coeff) / q**n) / (1.0 - r / q)
         return total
@@ -375,7 +376,7 @@ class LinearSeqMap(SeqMap):
         if top == -math.inf:
             return 0.0
         # the head terms, each once, then the tail's geometric sum
-        total = sum(math.exp(v - top) for v in logs) + math.exp(tail_log - top) / (1.0 - tail_step)
+        total = _left_sum(math.exp(v - top) for v in logs) + math.exp(tail_log - top) / (1.0 - tail_step)
         try:
             scale_out = math.exp(top / conj)
         except OverflowError:
@@ -434,9 +435,12 @@ class SupHalfMap(SeqMap):
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteArityMap:
-    """A map on m-tuples of reals.
+class FiniteArityMap(SeqMap):
+    """A map on m-tuples of reals, and the sequence map that reads the first m coordinates.
 
+    ``g(x_0, ..., x_(m-1))`` takes its arguments as the map takes those
+    coordinates, so an m-ary map is the special case of a sequence map
+    whose value depends on the first m coordinates alone.
     ``lipschitz_hint`` is a caller-supplied Lipschitz constant with respect
     to the maximum metric on tuples; it is consumed for certification and
     sanity-checked at most, never estimated from the black-box rule.
@@ -456,78 +460,70 @@ class FiniteArityMap:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         return ensure_finite(self.rule(*args), "map value")
 
-    def iterates(self, window: Sequence[float]) -> Iterator[float]:
-        """Endlessly, the map's value at ``window``, which then enters the window.
-
-        ``window`` holds ``arity`` values, newest first, as the rule takes
-        them; each new value pushes the oldest one out. This is the
-        recursion x_{m+k} = g(x_{k+m-1}, ..., x_k) and, from the first m
-        coordinates of a start, the lifted iteration of the embedded map.
-        A window of another length raises ``ValueError`` at the first value.
-        """
-        if len(window) != self.arity:
-            raise ValueError(f"expected a window of {self.arity} values, got {len(window)}")
-        live = deque(window, maxlen=self.arity)  # appendleft drops the oldest value
-        call, push = self.__call__, live.appendleft
-        while True:
-            value = call(*live)
-            push(value)
-            yield value
-
-
-@dataclass(frozen=True, eq=False)
-class EmbeddedMap(SeqMap):
-    """A finite-arity map read as a sequence map through its first coordinates."""
-
-    finite_map: FiniteArityMap
-
-    @property
-    def arity(self) -> int:
-        return self.finite_map.arity
-
     def eval(self, x: BoundedSeq) -> float:
-        return self.finite_map(*x.head(self.finite_map.arity))
+        return self(*x.head(self.arity))
 
     def diagonal(self, t: float) -> float:
-        """The finite map at (t, ..., t), what :meth:`eval` reads from the constant sequence, bit for bit."""
+        """The map at (t, ..., t), what :meth:`eval` reads from the constant sequence, bit for bit."""
         t = ensure_finite(t, "tail")
-        return self.finite_map(*(t,) * self.arity)
+        return self(*(t,) * self.arity)
 
     def iterates(self, x0: BoundedSeq) -> Iterator[float]:
-        """The finite map's window loop from ``x0.head(m)``, O(m) per value.
+        """The window loop from ``x0.head(m)``, O(m) per value.
 
         The lifted step reads only those m coordinates, newest first. The
         window keeps each value's sign, where a ``BoundedSeq`` would trim a
         -0.0 that equals a 0.0 tail.
         """
-        return self.finite_map.iterates(x0.head(self.arity))
+        return _window_loop(self, x0.head(self.arity))
 
     def lip_sup(self, q: float) -> float:
         """``hint / q**(m-1)``; ``inf`` without a hint or when the weight underflows.
 
         Coordinate i < m carries weight q**i >= q**(m-1), so a max-metric
         constant of the m-tuple map bounds the q-weighted sup constant this way.
+        At q = 1 this is the hint itself, so the default truncation hint is too.
         """
-        hint = self.finite_map.lipschitz_hint
+        hint = self.lipschitz_hint
         w = ensure_weight(q, closed=True) ** (self.arity - 1)
         return math.inf if hint is None or w == 0.0 else hint / w
 
 
-def embed_finite(g: FiniteArityMap) -> EmbeddedMap:
-    """Extend an m-tuple map to sequences by reading the first m coordinates.
+#: another name for FiniteArityMap, kept as a public export
+EmbeddedMap = FiniteArityMap
 
-    If ``Lip(g) < q**(m-1)`` for some q in (0, 1), the embedding is
-    Lipschitz for the q-weighted sup distance with constant at most
-    ``Lip(g) / q**(m-1)``, which certificate derivation exploits.
+
+def _window_loop(g: FiniteArityMap, window: Iterable[float]) -> Iterator[float]:
+    """Endlessly, ``g`` at the window of its last m values, newest first, each new value pushing the oldest out.
+
+    ``window`` holds the m values to start from, newest first. This is the
+    recursion x_{m+k} = g(x_{k+m-1}, ..., x_k) and the lifted iteration
+    of ``g`` read as a sequence map.
     """
-    return EmbeddedMap(g)
+    live = deque(window, maxlen=g.arity)  # appendleft drops the oldest value
+    call, push = g.__call__, live.appendleft
+    while True:
+        value = call(*live)
+        push(value)
+        yield value
+
+
+def embed_finite(g: FiniteArityMap) -> FiniteArityMap:
+    """``g`` itself, which reads the first m coordinates of a sequence as a sequence map.
+
+    If ``Lip(g) < q**(m-1)`` for some q in (0, 1), it is Lipschitz for the
+    q-weighted sup distance with constant at most ``Lip(g) / q**(m-1)``,
+    which certificate derivation exploits.
+    """
+    return g
 
 
 def truncate(f: SeqMap, n: int, base: float) -> FiniteArityMap:
     """Freeze all coordinates of ``f`` from index ``n`` on at ``base``.
 
-    The result is an arity-n map; its max-metric Lipschitz constant never
-    exceeds any sup-distance Lipschitz constant of ``f``, and its hint is
+    The result is an arity-n map, itself a sequence map that reads the
+    first n coordinates; its max-metric Lipschitz constant never exceeds
+    any sup-distance Lipschitz constant of ``f``, and its hint is
     :meth:`SeqMap.truncation_hint`. Checks ``n``, ``base`` and the map's
     domain; the rule is ``f.eval(BoundedSeq(args, base))``, so a non-finite
     argument raises ``ValueError``.

@@ -14,7 +14,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .sequences import BoundedSeq, ensure_finite
+from .sequences import BoundedSeq, _left_sum, ensure_finite
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _power(x: BoundedSeq, y: BoundedSeq, p: float, roots: list[float], m: int, r
         return 0.0
     if not top < math.inf:
         return math.inf
-    total = sum((v / top) ** p for v in scaled if v > 0.0)
+    total = _left_sum((v / top) ** p for v in scaled if v > 0.0)
     if tail_anchor > 0.0:  # a zero anchor would add 0.0
         total += (tail_anchor / top) ** p / (1.0 - ratio)
     return top * total ** (1.0 / p)

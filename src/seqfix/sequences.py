@@ -31,6 +31,18 @@ def ensure_count(value: int, what: str, least: int) -> int:
     return int(value)
 
 
+def _left_sum(terms: Iterable[float]) -> float:
+    """0.0 plus each term in turn, left to right, so a float sum keeps its bits on every Python.
+
+    From 3.12, ``sum()`` of floats compensates its roundoff and can differ
+    from this in the last bit; before 3.12 it is this loop.
+    """
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 @dataclass(frozen=True, init=False)
 class BoundedSeq:
     """A real sequence equal to ``tail`` from index ``len(prefix)`` on.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
 # lift_step lives in maps, where SeqMap.iterates calls it; seqfix.solver.lift_step stays public
-from .maps import FiniteArityMap, SeqMap, lift_step, truncate  # noqa: F401
+from .maps import FiniteArityMap, SeqMap, _window_loop, lift_step, truncate  # noqa: F401
 from .metrics import dist_p_geom, dist_sup_geom, ensure_exponent, ensure_weight
 from .sequences import BoundedSeq, ensure_count, ensure_finite
 
@@ -526,20 +526,20 @@ def presic_iterates(g: FiniteArityMap, seeds: tuple[float, ...], k_max: int) -> 
 
     ``seeds`` are x_0 .. x_{m-1} oldest first; ``g`` receives its window
     newest first. Returns the ``k_max`` newly generated values, the first
-    ``k_max`` of :meth:`FiniteArityMap.iterates` from the reversed seeds.
-    When ``Lip(g) < 1`` for the maximum metric these converge to the unique
+    ``k_max`` of the window loop from the reversed seeds. When
+    ``Lip(g) < 1`` for the maximum metric these converge to the unique
     value t with g(t, ..., t) = t. They are, bit for bit, the generalized
-    iterates of the embedded map from any start whose first m coordinates
-    are the reversed seeds: :meth:`EmbeddedMap.iterates` runs the same
-    window loop. A ``k_max`` above :data:`_STEP_BUDGET` is refused before
-    any step.
+    iterates of ``g`` read as a sequence map from any start whose first m
+    coordinates are the reversed seeds: :meth:`FiniteArityMap.iterates`
+    runs the same loop. A seed count other than m raises ``ValueError``,
+    and a ``k_max`` above :data:`_STEP_BUDGET` is refused before any step.
     """
     if len(seeds) != g.arity:
         raise ValueError(f"expected {g.arity} seeds, got {len(seeds)}")
     k_max = ensure_count(k_max, "k_max", 0)
     _check_budget(k_max, f"k_max {k_max} is")
-    window = tuple(reversed([ensure_finite(s, "seed") for s in seeds]))
-    return list(islice(g.iterates(window), k_max))
+    window = reversed([ensure_finite(s, "seed") for s in seeds])
+    return list(islice(_window_loop(g, window), k_max))
 
 
 @dataclass(frozen=True)
@@ -575,11 +575,13 @@ def truncation_study(
     from Steffensen steps on the line from ``base`` with an a posteriori
     stop: the reference at tol/1000 with ``cert.diagonal_lip()``, and each
     arity at tol/10, so the error column resolves to tol/10. Both evaluate
-    through :meth:`FiniteArityMap.__call__`, the diagonal as an arity-1
-    map, so a non-finite value raises ``ValueError``. Freezing
-    coordinates cannot raise a q-weighted sup constant, and a max-metric
-    constant of ``g`` bounds its diagonal too, so arity n takes the smaller
-    of ``cert.lip`` and the truncation's ``lipschitz_hint``. Every observed
+    through :meth:`FiniteArityMap.__call__`, the reference as an arity-1
+    map of ``f.diagonal`` and each arity through the truncation's own
+    :meth:`FiniteArityMap.diagonal`, so a non-finite value raises
+    ``ValueError``. Freezing coordinates cannot raise a q-weighted sup
+    constant, and a max-metric constant of ``g`` bounds its diagonal too,
+    so arity n takes the smaller of ``cert.lip`` and ``g.lip_sup(1.0)``,
+    the truncation's hint or ``inf`` without one. Every observed
     error must respect the certified bound
     ``q**n * lip / (1 - lip) * |reference - base|``; a violation raises
     :class:`BoundViolationError`. The study's work grows with the sum of its
@@ -599,8 +601,7 @@ def truncation_study(
     rows: list[TruncationRow] = []
     for n in range(1, n_max + 1):
         g = truncate(f, n, base)
-        c = cert.lip if g.lipschitz_hint is None else min(cert.lip, g.lipschitz_hint)
-        x_n = _diagonal_fixed_point(lambda t: g(*(t,) * n), base, c, tol / 10.0)
+        x_n = _diagonal_fixed_point(g.diagonal, base, min(cert.lip, g.lip_sup(1.0)), tol / 10.0)
         error = abs(x_n - ref)
         bound = cert.q**n * factor
         if error > bound + tol:

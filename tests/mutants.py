@@ -176,6 +176,18 @@ MUTANTS = [
      "0.0 <= lip < (1.0 - q)",
      "0.0 <= lip <= (1.0 - q)",
      ["tests/test_solver.py::test_certificate_validation"]),
+    ("the window loop pushes each new value in at the oldest end", MAPS,
+     "call, push = g.__call__, live.appendleft",
+     "call, push = g.__call__, live.append",
+     ["tests/test_truncation.py::test_the_window_is_newest_first_and_a_wrong_seed_count_is_a_value_error"]),
+    ("a finite-arity map's lip_sup divides by q**m", MAPS,
+     "** (self.arity - 1)",
+     "** self.arity",
+     ["tests/test_protocol.py::test_embedded_lip_sup_examples"]),
+    ("each truncation plans with cert.lip, ignoring its hint", SOLVER,
+     "min(cert.lip, g.lip_sup(1.0))",
+     "cert.lip",
+     ["tests/test_truncation.py::test_each_arity_plans_with_the_smaller_of_the_certificate_and_its_truncation_hint"]),
 ]
 
 
@@ -188,8 +200,13 @@ def copy_tree(dest: Path) -> None:
 
 
 def environment(tree: Path) -> dict[str, str]:
-    """The environment that imports seqfix from ``tree``'s ``src``, ahead of any installed copy, and writes no bytecode."""
-    return dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    """The environment that imports seqfix from ``tree``'s ``src``, ahead of any installed copy, and writes no bytecode.
+
+    ``tree``'s ``src`` goes in front of any ``PYTHONPATH`` already set, so an
+    interpreter that finds pytest there still finds it.
+    """
+    path = os.pathsep.join(filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
 
 
 def tests_pass(tree: Path, tests: list[str]) -> bool:

@@ -18,6 +18,7 @@ import seqfix
 from seqfix import (
     BoundedSeq,
     BoundViolationError,
+    FiniteArityMap,
     IterationTrace,
     LinearSeqMap,
     TraceStep,
@@ -788,6 +789,13 @@ def test_presic_hint_that_rounds_to_one_fails_only_the_solve(tmp_path, capsys):
         "edge-solve solve FAILED uncertified",
         "edge-truncate truncate x_star=0 n_max=3 error=0",
     ]
+
+
+def test_a_presic_map_is_the_finite_arity_map_and_sums_left_to_right():
+    g = _MAP_KINDS["presic"][2]({"rule": "affine", "arity": 3, "coeffs": [1e16, 1.0, 1.0], "offset": 0.0})
+    assert type(g) is FiniteArityMap
+    # each 1e16 + 1.0 is a tie that rounds back to 1e16, where compensated summation gives 1e16 + 2
+    assert g.lipschitz_hint == g(1.0, 1.0, 1.0) == 1e16
 
 
 def test_start_too_far_from_its_image_exits_2(tmp_path):

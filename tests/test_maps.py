@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from seqfix import (
     BoundedSeq,
+    EmbeddedMap,
     FiniteArityMap,
     LinearSeqMap,
     SupHalfMap,
@@ -25,6 +26,7 @@ from seqfix import (
     truncate,
 )
 from seqfix.maps import _lip_lower_bounds, _random_seq
+from seqfix.sequences import _left_sum
 
 # the recurring worked example: b_n = 1/(3 * 2^n), offset 1
 RECUR = LinearSeqMap(head_coeffs=(1.0 / 3.0,), tail_coeff=1.0 / 6.0, tail_ratio=0.5, offset=1.0)
@@ -381,7 +383,7 @@ SPARSE = LinearSeqMap((0.5,) + (0.0,) * 399)
 
 def unguarded_lip_sup(f, q):
     """The sup-family closed form summed over every coefficient, zeros included."""
-    total = sum(abs(b) / q**k for k, b in enumerate(f.head_coeffs))
+    total = _left_sum(abs(b) / q**k for k, b in enumerate(f.head_coeffs))
     if f.tail_coeff != 0.0:
         r = abs(f.tail_ratio)
         if r >= q:
@@ -531,6 +533,19 @@ def test_embed_finite_reads_leading_coordinates():
     assert ident.eval(BoundedSeq((9.0, 1.0), 0.0)) == 9.0
     g = embed_finite(FiniteArityMap(2, lambda a, b: (a + b) / 4 + 1, 0.5))
     assert g.eval(BoundedSeq.constant(2.0)) == 2.0
+
+
+def test_a_finite_arity_map_is_its_own_embedding():
+    g = FiniteArityMap(2, lambda a, b: (a + b) / 4 + 1, 0.5)
+    assert embed_finite(g) is g
+    assert EmbeddedMap is FiniteArityMap
+
+
+def test_float_sums_add_left_to_right_on_every_python():
+    # compensated summation, which sum() of floats does from Python 3.12 on, gives 2.0 and 1e16 + 2
+    assert LinearSeqMap((1.0, 1e100, 1.0, -1e100)).sum_coeffs() == 0.0
+    f = LinearSeqMap((1e16, 1.0, 1.0))  # 1e16 + 1.0 is a tie that rounds back to 1e16
+    assert f.lip_sup(1.0) == f.sum_abs_coeffs() == f.truncation_hint(3) == 1e16
 
 
 def test_embedding_lipschitz_bound():
@@ -888,7 +903,7 @@ def lip_p_before_underflow_guard(f, p, q):
     if not logs:
         return 0.0
     top = max(logs)
-    total = sum(math.exp(v - top) for v in (logs if tail_log is None else logs[:-1]))
+    total = _left_sum(math.exp(v - top) for v in (logs if tail_log is None else logs[:-1]))
     if tail_log is not None:
         total += math.exp(tail_log - top) / (1.0 - tail_step)
     try:

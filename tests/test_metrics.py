@@ -16,6 +16,7 @@ from seqfix import (
     validate_sup_weights,
 )
 from seqfix.metrics import _geom_distance, ensure_weight
+from seqfix.sequences import _left_sum
 
 # Quantized coordinates keep all products comfortably above underflow so the
 # metric identities can be asserted without tolerance games.
@@ -260,7 +261,7 @@ def p_weighted_loop(x, y, p, w):
         return 0.0
     if top == math.inf:
         return math.inf
-    total = sum((v / top) ** p for v in scaled if v > 0.0)
+    total = _left_sum((v / top) ** p for v in scaled if v > 0.0)
     if d_tail > 0.0:
         total += (tail_anchor / top) ** p / (1.0 - w.ratio)
     return top * total ** (1.0 / p)
@@ -360,6 +361,13 @@ def test_dist_sup_geom_equals_the_weighted_distance_bit_for_bit(x, y, q):
 @example(*HEAD_OVER, 2.0, 1e-200)
 def test_dist_p_geom_equals_the_weighted_distance_bit_for_bit(x, y, p, q):
     assert outcome(dist_p_geom, x, y, p, q) == outcome(p_geom_through_weights, x, y, p, q)
+
+
+def test_the_power_sum_adds_left_to_right_on_every_python():
+    # the rescaled terms 1, 2**-53, 2**-53: each 1 + 2**-53 is a tie that rounds back to 1, where
+    # compensated summation, which sum() of floats does from Python 3.12 on, gives 1 + 2**-52
+    x = BoundedSeq((1.0, 2.0**-52, 2.0**-51), 0.0)
+    assert dist_p_geom(x, BoundedSeq.constant(0.0), 1.0, 0.5) == 1.0
 
 
 def test_an_overflowing_head_difference_at_an_underflowed_weight_is_inf():

@@ -240,6 +240,9 @@ affine_embedded_maps = st.integers(min_value=1, max_value=4).flatmap(lambda m: s
     st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=m, max_size=m),
     st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-2.0, max_value=2.0)),
 ))
+#: truncations of linear maps, themselves sequence maps that read their first n coordinates
+linear_truncations = st.builds(truncate, linear_maps, st.integers(min_value=1, max_value=6),
+                               st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-2.0, max_value=2.0)))
 #: signed zeros, the least subnormal, the domain's edge, points outside [0, 1] and the ends of the float range
 points = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, 1.0, 1.5, -0.5, 1e308, -1e308]),
@@ -264,7 +267,8 @@ def unsigned_zeros(hexes):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(linear_maps, st.just(SupHalfMap()), affine_embedded_maps), st.lists(points, max_size=5),
+@given(st.one_of(linear_maps, st.just(SupHalfMap()), affine_embedded_maps, linear_truncations),
+       st.lists(points, max_size=5),
        st.one_of(points, st.sampled_from([math.nan, math.inf, -math.inf])))
 @example(SupHalfMap(), [], -0.0)
 @example(SupHalfMap(), [0.0], -0.0)
@@ -280,14 +284,15 @@ def test_every_built_in_override_gives_the_protocol_default_bit_for_bit(f, prefi
         return
     x0 = BoundedSeq(tuple(prefix), t)
     ours, default = first_values(lambda: f.iterates(x0)), first_values(lambda: SeqMap.iterates(f, x0))
-    if isinstance(f, maps.EmbeddedMap):
+    if isinstance(f, FiniteArityMap):
         # the window keeps each value's sign of zero; the default's prepend trims a -0.0 that equals a 0.0 tail
         ours, default = unsigned_zeros(ours), unsigned_zeros(default)
     assert ours == default
 
 
 def test_the_override_property_covers_every_built_in_override():
-    overriding = {name for name, cls in vars(maps).items()
+    # a set of classes, since EmbeddedMap is another name for FiniteArityMap
+    overriding = {cls for cls in vars(maps).values()
                   if isinstance(cls, type) and issubclass(cls, SeqMap) and cls is not SeqMap
                   and {"diagonal", "iterates"} & vars(cls).keys()}
-    assert overriding == {"LinearSeqMap", "SupHalfMap", "EmbeddedMap"}
+    assert overriding == {LinearSeqMap, SupHalfMap, FiniteArityMap}

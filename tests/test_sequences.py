@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqfix import BoundedSeq
-from seqfix.sequences import ensure_count
+from seqfix.sequences import _left_sum, ensure_count
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 seqs = st.builds(BoundedSeq, st.lists(finite, max_size=6).map(tuple), finite)
@@ -116,6 +116,13 @@ def test_prepend_rejects_non_finite(x, bad):
 @given(signed_seqs, st.integers(min_value=-2, max_value=10))
 def test_head_reads_coordinates(x, n):
     assert x.head(n) == tuple(x.at(i) for i in range(n))
+
+
+def test_left_sum_adds_from_zero_left_to_right():
+    assert _left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0  # compensated summation gives 2.0
+    assert _left_sum([1e16, 1.0, 1.0]) == 1e16  # each 1e16 + 1.0 is a tie that rounds back to 1e16
+    assert math.copysign(1.0, _left_sum([-0.0])) == 1.0  # 0.0 + -0.0 is 0.0
+    assert type(_left_sum([])) is float and type(_left_sum([1, 2])) is float
 
 
 def test_ensure_count_returns_an_int_and_refuses_anything_else():

@@ -7,6 +7,7 @@ history.
 """
 
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,9 +26,11 @@ from seqfix import (
     find_sup_certificate,
     generalized_iterates,
     presic_iterates,
+    solve_fixed_point,
     truncate,
     truncation_study,
 )
+from seqfix.sequences import _left_sum
 from seqfix.solver import _diagonal_fixed_point
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -108,7 +111,7 @@ def test_truncation_is_bit_exact(case):
     fn = truncate(f, n, base)
     assert bits([fn(*args)]) == bits([f.eval(BoundedSeq(args, base))])
     if isinstance(f, LinearSeqMap):
-        assert fn.lipschitz_hint == sum(abs(f.coeff_at(k)) for k in range(n))
+        assert fn.lipschitz_hint == _left_sum(abs(f.coeff_at(k)) for k in range(n))
     else:  # the default hint: the plain sup constant, where the map knows one
         assert fn.lipschitz_hint == (None if f.lip_sup(1.0) == math.inf else f.lip_sup(1.0))
 
@@ -248,14 +251,24 @@ def test_presic_reaches_and_keeps_the_float_fixed_point():
     assert presic_iterates(g, (t, t), 50) == [t] * 50
 
 
-def test_window_of_the_wrong_length_is_a_value_error():
+def test_the_window_is_newest_first_and_a_wrong_seed_count_is_a_value_error():
     g = FiniteArityMap(2, lambda a, b: 10 * a + b)
-    assert next(g.iterates((1.0, 2.0))) == 12.0  # newest first
-    for window in ((1.0, 2.0, 3.0), (1.0,)):
-        with pytest.raises(ValueError, match=f"^expected a window of 2 values, got {len(window)}$"):
-            next(g.iterates(window))
-    with pytest.raises(ValueError, match="^expected 2 seeds, got 3$"):
-        presic_iterates(g, (1.0, 2.0, 3.0), 1)
+    # the start's first two coordinates, then each new value pushed in at the front
+    assert list(islice(g.iterates(BoundedSeq((1.0, 2.0))), 2)) == [12.0, 121.0]
+    assert presic_iterates(g, (2.0, 1.0), 2) == [12.0, 121.0]  # seeds oldest first
+    for seeds in ((1.0, 2.0, 3.0), (1.0,)):
+        with pytest.raises(ValueError, match=f"^expected 2 seeds, got {len(seeds)}$"):
+            presic_iterates(g, seeds, 1)
+
+
+def test_a_truncation_is_certified_and_solved_as_a_sequence_map():
+    # the README map 1 + x_0/3 + x_1/6 with x_2, x_3, ... frozen at 0: its hint 1/2 gives lip_sup(q) = 1/(2q)
+    g = truncate(README_MAP, 2, 0.0)
+    assert g.lip_sup(1.0) == g.lipschitz_hint == 0.5
+    cert = find_sup_certificate(g)
+    assert cert is not None and cert.lip == g.lip_sup(cert.q) <= cert.q < 1.0
+    sol = solve_fixed_point(g, BoundedSeq.constant(0.0), cert, 1e-9)
+    assert abs(sol.value - 2.0) <= 1e-9  # the fixed point of 1 + t/3 + t/6
 
 
 def recorded(d, points):
@@ -315,6 +328,29 @@ def test_readme_truncation_study_counts_its_diagonal_evaluations():
     assert evaluations == [3] * 21
     assert sum(evaluations[1:]) == 60
     assert all(calls <= cap for calls, cap in runs)
+
+
+class UnhintedQuarterSumMap(QuarterSumMap):
+    def truncation_hint(self, n):
+        return None
+
+
+@pytest.mark.parametrize("f", [README_MAP, UnhintedQuarterSumMap()], ids=["hinted", "unhinted"])
+def test_each_arity_plans_with_the_smaller_of_the_certificate_and_its_truncation_hint(f):
+    constants = []
+
+    def recording(d, t, c, tol):
+        constants.append(c)
+        return _diagonal_fixed_point(d, t, c, tol)
+
+    cert = find_sup_certificate(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqfix.solver, "_diagonal_fixed_point", recording)
+        truncation_study(f, cert, 0.0, 4, 1e-6)
+    hints = [f.truncation_hint(n) for n in range(1, 5)]
+    assert constants == [cert.diagonal_lip()] + [cert.lip if h is None else min(cert.lip, h) for h in hints]
+    if f is README_MAP:  # sum_{k<n} |b_k| stays below 2/3, the plain sup constant, and so below cert.lip
+        assert constants[1:] == hints and max(hints) < cert.lip
 
 
 def truncated_fixed_point(f, n, base):
