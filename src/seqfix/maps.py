@@ -117,6 +117,9 @@ class LinearSeqMap(SeqMap):
     ``b_n = tail_coeff * tail_ratio**(n - N)`` for ``n >= N`` where
     ``N = len(head_coeffs)``. Absolute summability is automatic from
     ``|tail_ratio| < 1``; negative tail coefficients and ratios are allowed.
+    :meth:`diagonal` and :meth:`iterates` compute what :meth:`eval` would,
+    without calling it, so a subclass that overrides ``eval`` overrides
+    both of them too.
     """
 
     head_coeffs: tuple[float, ...] = ()
@@ -177,19 +180,35 @@ class LinearSeqMap(SeqMap):
     def eval(self, x: BoundedSeq) -> float:
         """``offset + sum_n b_n x_n``: the prefix terms left to right, then the tail in closed form.
 
+        :meth:`_add_terms` sums the prefix terms and :meth:`_plus_tail` adds
+        the tail, so a call costs O(len(x.prefix)).
+        """
+        return self._sum(x, self._add_terms)
+
+    def _sum(self, x: BoundedSeq, add_terms: Callable[[float, tuple[float, ...], int, int], float]) -> float:
+        """:meth:`eval`'s value, with the prefix terms from n = start to stop - 1 added by ``add_terms``.
+
         Only the prefix within :meth:`_live_terms` is read while the sum is
         nonzero. The terms past it are signed zeros, which leave a nonzero
         sum as it is but can turn -0.0 into 0.0, so a zero sum reads them all.
-        :meth:`_add_terms` sums the prefix terms and :meth:`_plus_tail` adds
-        the tail, so a call costs O(len(x.prefix)).
         """
         prefix = x.prefix
         m = len(prefix)
         live = self._live_terms(m)
-        acc = self._add_terms(self.offset, prefix, 0, live)
+        acc = add_terms(self.offset, prefix, 0, live)
         if acc == 0.0:
-            acc = self._add_terms(acc, prefix, live, m)
+            acc = add_terms(acc, prefix, live, m)
         return self._plus_tail(acc, x.tail, m)
+
+    def iterates(self, x0: BoundedSeq) -> Iterator[float]:
+        """The default's lifted steps, through a view whose ``eval`` reads a coefficient table built for this run.
+
+        The table holds the floats :meth:`_add_terms` multiplies by, one
+        :meth:`coeff_at` call per index the first time a lift reads it, so
+        each lift sums its terms without a power per tail term and keeps
+        every bit. The table is dropped with the run.
+        """
+        return _LinearRun(self).iterates(x0)
 
     def _add_terms(self, acc: float, prefix: tuple[float, ...], start: int, stop: int) -> float:
         """``acc`` plus ``b_n * prefix[n]`` for n from ``start`` to ``stop - 1``, left to right.
@@ -390,6 +409,28 @@ class LinearSeqMap(SeqMap):
         if s == 1.0:
             raise ValueError("coefficients sum to 1: every real number is a diagonal fixed point")
         return self.offset / (1.0 - s)
+
+
+class _LinearRun(SeqMap):
+    """One run of :meth:`LinearSeqMap.iterates`: the map's ``eval`` over a coefficient table that grows with it."""
+
+    def __init__(self, f: LinearSeqMap) -> None:
+        self.f = f
+        self.coeffs: list[float] = []
+
+    def eval(self, x: BoundedSeq) -> float:
+        return self.f._sum(x, self._add_terms)
+
+    def _add_terms(self, acc: float, prefix: tuple[float, ...], start: int, stop: int) -> float:
+        """``acc`` plus ``coeffs[n] * prefix[n]`` for n from ``start`` to ``stop - 1``, left to right.
+
+        The table first grows to ``stop`` entries, one :meth:`LinearSeqMap.coeff_at` call per new index.
+        """
+        coeffs = self.coeffs
+        coeffs.extend(map(self.f.coeff_at, range(len(coeffs), stop)))
+        for b, v in zip(coeffs[start:stop], prefix[start:stop]):
+            acc += b * v
+        return acc
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ CAPPED_RUN = "tests/test_truncation.py::test_a_run_that_reaches_its_cap_returns_
 P1_WITNESS = "tests/test_maps.py::test_one_p1_witness_gives_the_bound_of_every_unit_vector"
 LIVE_READS = "tests/test_maps.py::test_eval_reads_the_live_coordinates_and_only_the_head_through_coeff_at"
 UNWEIGHED = "tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing"
+RUN_READS = "tests/test_maps.py::test_a_run_reads_each_live_coefficient_once_and_lifts_as_the_full_loop"
 
 #: (what it breaks, file, source text, its replacement, the tests that must kill it)
 MUTANTS = [
@@ -116,10 +117,22 @@ MUTANTS = [
      "return min(m, n + 1)",
      "return min(m, n)",
      [LIVE_READS]),
-    ("eval reads past the live count", MAPS,
+    ("eval and the run read past the live count", MAPS,
      "live = self._live_terms(m)",
      "live = m",
-     [LIVE_READS]),
+     [LIVE_READS, f"{RUN_READS}[zero-tail]"]),
+    ("eval and the run skip the zero-sum re-read", MAPS,
+     "        if acc == 0.0:\n            acc = add_terms(acc, prefix, live, m)\n",
+     "",
+     [f"{RUN_READS}[zero-sum]", "tests/test_maps.py::test_a_vanishing_tail_reads_the_head_and_keeps_every_bit"]),
+    ("the run's table reads each coefficient one index late", MAPS,
+     "range(len(coeffs), stop)",
+     "range(len(coeffs) + 1, stop + 1)",
+     [f"{RUN_READS}[tailed]", "tests/test_maps.py::test_a_tailed_solve_is_the_full_loop_solve_bit_for_bit"]),
+    ("the run's table grows past the live count", MAPS,
+     "range(len(coeffs), stop)",
+     "range(len(coeffs), len(prefix))",
+     [f"{RUN_READS}[zero-tail]", f"{RUN_READS}[zero-ratio]"]),
     ("the tail's powers start at r**1", MAPS,
      "enumerate(prefix[mid:stop], mid - n)",
      "enumerate(prefix[mid:stop], mid - n + 1)",

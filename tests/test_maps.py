@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import mpmath
@@ -15,6 +16,7 @@ from seqfix import (
     EmbeddedMap,
     FiniteArityMap,
     LinearSeqMap,
+    SeqMap,
     SupHalfMap,
     dist_p_geom,
     dist_sup_geom,
@@ -286,14 +288,20 @@ def test_eval_reads_the_live_coordinates_and_only_the_head_through_coeff_at(
 
 
 class FullLoopMap(LinearSeqMap):
-    """A linear map that evaluates through every prefix coordinate."""
+    """A linear map that evaluates through every prefix coordinate, and lifts through that ``eval``.
+
+    ``LinearSeqMap.iterates`` evaluates through its own coefficient table,
+    so the reference takes the protocol's default lifted step instead.
+    """
+
+    iterates = SeqMap.iterates
 
     def eval(self, x):
         return full_loop_eval(self, x)
 
 
 def solve_against_the_full_loop(head, tail, ratio, offset):
-    """Solve from the zero sequence at tol 1e-9 with ``eval`` and with :func:`full_loop_eval`; return k_used.
+    """Solve from the zero sequence at tol 1e-9 with the map's lifts and with :func:`full_loop_eval`'s; return k_used.
 
     The values, step counts and every trace step agree bit for bit.
     """
@@ -315,6 +323,21 @@ def test_a_zero_tail_solve_is_the_full_loop_solve_bit_for_bit():
 ], ids=["readme", "negative-ratio"])
 def test_a_tailed_solve_is_the_full_loop_solve_bit_for_bit(head, tail, ratio, offset, k_used):
     assert solve_against_the_full_loop(head, tail, ratio, offset) == k_used
+
+
+@pytest.mark.parametrize("head, tail, ratio, offset, calls", [
+    ((0.49, 0.49), 0.0, 0.0, 1.0, 2),  # the zero tail coefficient leaves the head
+    ((0.5,), 0.25, 0.0, 0.0, 2),  # the zero ratio leaves the head and the first tail coefficient
+    ((0.5,), 0.25, -0.5, 0.0, 501),  # a tail reaches every coordinate, 2 + 499 at the last lift
+    ((-0.5,), 0.0, 0.0, -0.0, 501),  # every sum is zero, so every lift re-reads the zero terms past the head
+], ids=["zero-tail", "zero-ratio", "tailed", "zero-sum"])
+def test_a_run_reads_each_live_coefficient_once_and_lifts_as_the_full_loop(
+        monkeypatch, head, tail, ratio, offset, calls):
+    monkeypatch.setattr(CoeffCountingMap, "calls", 0)
+    x0 = BoundedSeq((0.0, 1.0), -1.0)
+    ours = [v.hex() for v in islice(CoeffCountingMap(head, tail, ratio, offset).iterates(x0), 500)]
+    assert CoeffCountingMap.calls == calls
+    assert ours == [v.hex() for v in islice(FullLoopMap(head, tail, ratio, offset).iterates(x0), 500)]
 
 
 def test_coefficient_sums():

@@ -290,6 +290,45 @@ def test_every_built_in_override_gives_the_protocol_default_bit_for_bit(f, prefi
     assert ours == default
 
 
+#: head and tail coefficients: signed zeros, moderate values, and values large enough that a run overflows
+long_run_coeffs = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-1.5, max_value=1.5),
+                            st.sampled_from([1e300, -1e300]))
+
+
+@st.composite
+def long_run_maps(draw):
+    """Heads of 0-12; a zero tail coefficient, a zero tail ratio, or a tail under a ratio of either sign.
+
+    Half the draws are scaled to sum |b_n| = 0.9 when they exceed it, so their runs stay bounded.
+    """
+    head = tuple(draw(st.lists(long_run_coeffs, max_size=12)))
+    nonzero = long_run_coeffs.filter(lambda b: b != 0.0)
+    tail, ratio = draw(st.one_of(
+        st.tuples(st.sampled_from([0.0, -0.0]), st.floats(min_value=-0.999, max_value=0.999)),
+        st.tuples(nonzero, st.sampled_from([0.0, -0.0])),
+        st.tuples(nonzero, st.floats(min_value=-0.999, max_value=0.999).filter(lambda r: r != 0.0)),
+    ))
+    offset = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-2.0, max_value=2.0)))
+    total = LinearSeqMap(head, tail, ratio).sum_abs_coeffs()
+    if draw(st.booleans()) and total > 0.9:
+        head, tail = tuple(b / total * 0.9 for b in head), tail / total * 0.9
+    return LinearSeqMap(head, tail, ratio, offset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_run_maps(), st.lists(points, max_size=40), points, st.integers(min_value=300, max_value=1000))
+# the live terms sum to -0.0, and the re-read of the zero terms past them turns it into 0.0
+@example(LinearSeqMap((-0.5,), 0.0, 0.0, -0.0), [0.0, 1.0], -1.0, 300)
+@example(LinearSeqMap((-0.5,), 0.25, 0.0, -0.0), [0.0, -0.0, 1.0], -1.0, 300)
+# a tail under a negative ratio, from a long prefix
+@example(LinearSeqMap((0.3, -0.2), 0.1, -0.7, -1.5), [float(k % 7) for k in range(40)], 0.5, 1000)
+# the values overflow, and each run raises the same ValueError at the same lift
+@example(LinearSeqMap((1.5, 1.5), 0.5, -0.5, 1.0), [1.0], 1.0, 1000)
+def test_a_long_linear_run_gives_the_protocol_default_bit_for_bit(f, prefix, t, n):
+    x0 = BoundedSeq(tuple(prefix), t)
+    assert first_values(lambda: f.iterates(x0), n) == first_values(lambda: SeqMap.iterates(f, x0), n)
+
+
 def test_the_override_property_covers_every_built_in_override():
     # a set of classes, since EmbeddedMap is another name for FiniteArityMap
     overriding = {cls for cls in vars(maps).values()

@@ -367,12 +367,21 @@ def truncated_fixed_point(f, n, base):
 @example(LinearSeqMap((), 0.0, 0.0, 2.421875), 0.8930907517203119, 0.0, 1, 1e-9)
 # the reference's steps stay 4 ulps long for two steps while δ leaves room, then shrink
 @example(LinearSeqMap((), 1.0, 0.875, 1.0), 0.890625, 0.0, 1, 1e-9)
+# c = 0.9899 and t* = -16.37: the reference's room 1e-12·(1 - c) is below δ = 4 ulps of |t*|, so it is refused
+@example(LinearSeqMap((), 0.0659, 0.924, -2.175), 0.8671052631578953, 0.0, 1, 1e-9)
 def test_truncation_study_is_within_its_tolerances_of_the_closed_forms(f, abs_sum, base, n_max, tol):
     f = rescaled(f, abs_sum)
     cert = find_sup_certificate(f)
     assert cert is not None
     runs = []
-    report = counted_study(runs, f, cert, base, n_max, tol)
+    try:
+        report = counted_study(runs, f, cert, base, n_max, tol)
+    except ValueError as e:
+        # only the reference, at tol/1000, may be refused, and only where the solver's δ at t* exceeds its room
+        room = tol / 1000.0 * (1.0 - cert.diagonal_lip())
+        delta = seqfix.solver._ROUNDOFF_ULPS * math.ulp(f.fixed_point())
+        assert "below float resolution" in str(e) and len(runs) == 1 and room < delta
+        return
     assert abs(report.reference - f.fixed_point()) <= tol / 1000.0
     assert [row.n for row in report.rows] == list(range(1, n_max + 1))
     for row in report.rows:
