@@ -159,8 +159,8 @@ class LinearSeqMap(SeqMap):
         return self.tail_sum_from(0)
 
     def sum_abs_coeffs(self) -> float:
-        """Sum of |b_n|; equals the Lipschitz constant for the plain sup distance."""
-        return _left_sum(map(abs, self.head_coeffs)) + abs(self.tail_coeff) / (1.0 - abs(self.tail_ratio))
+        """Sum of |b_n|: the Lipschitz constant for the plain sup distance, ``lip_sup(1.0)``."""
+        return self.lip_sup(1.0)
 
     def _live_terms(self, m: int) -> int:
         """How many of the first ``m`` coefficients can be nonzero.
@@ -180,13 +180,13 @@ class LinearSeqMap(SeqMap):
     def eval(self, x: BoundedSeq) -> float:
         """``offset + sum_n b_n x_n``: the prefix terms left to right, then the tail in closed form.
 
-        :meth:`_add_terms` sums the prefix terms and :meth:`_plus_tail` adds
-        the tail, so a call costs O(len(x.prefix)).
+        :meth:`_sum` reads the coefficients from a table built for this
+        call, so a call costs O(len(x.prefix)).
         """
-        return self._sum(x, self._add_terms)
+        return self._sum(x, [])
 
-    def _sum(self, x: BoundedSeq, add_terms: Callable[[float, tuple[float, ...], int, int], float]) -> float:
-        """:meth:`eval`'s value, with the prefix terms from n = start to stop - 1 added by ``add_terms``.
+    def _sum(self, x: BoundedSeq, coeffs: list[float]) -> float:
+        """:meth:`eval`'s value, with ``coeffs`` the table of b_0, b_1, ... that the prefix terms read.
 
         Only the prefix within :meth:`_live_terms` is read while the sum is
         nonzero. The terms past it are signed zeros, which leave a nonzero
@@ -195,37 +195,30 @@ class LinearSeqMap(SeqMap):
         prefix = x.prefix
         m = len(prefix)
         live = self._live_terms(m)
-        acc = add_terms(self.offset, prefix, 0, live)
+        acc = self._add_products(self.offset, prefix, coeffs, 0, live)
         if acc == 0.0:
-            acc = add_terms(acc, prefix, live, m)
+            acc = self._add_products(acc, prefix, coeffs, live, m)
         return self._plus_tail(acc, x.tail, m)
 
-    def iterates(self, x0: BoundedSeq) -> Iterator[float]:
-        """The default's lifted steps, through a view whose ``eval`` reads a coefficient table built for this run.
+    def _add_products(self, acc: float, prefix: tuple[float, ...], coeffs: list[float], start: int, stop: int) -> float:
+        """``acc`` plus ``coeffs[n] * prefix[n]`` for n from ``start`` to ``stop - 1``, left to right.
 
-        The table holds the floats :meth:`_add_terms` multiplies by, one
-        :meth:`coeff_at` call per index the first time a lift reads it, so
-        each lift sums its terms without a power per tail term and keeps
+        The table first grows to ``stop`` entries, one :meth:`coeff_at` call per new index.
+        """
+        coeffs.extend(map(self.coeff_at, range(len(coeffs), stop)))
+        for b, v in zip(coeffs[start:stop], prefix[start:stop]):
+            acc += b * v
+        return acc
+
+    def iterates(self, x0: BoundedSeq) -> Iterator[float]:
+        """The default's lifted steps, through a view whose ``eval`` keeps one coefficient table for the whole run.
+
+        :meth:`eval` builds its table for one call; the run's table grows by
+        one :meth:`coeff_at` call per index the first time a lift reads it,
+        so each lift sums its terms without a power per tail term and keeps
         every bit. The table is dropped with the run.
         """
         return _LinearRun(self).iterates(x0)
-
-    def _add_terms(self, acc: float, prefix: tuple[float, ...], start: int, stop: int) -> float:
-        """``acc`` plus ``b_n * prefix[n]`` for n from ``start`` to ``stop - 1``, left to right.
-
-        Head coefficients come from :meth:`coeff_at`. A tail coefficient is
-        the float ``coeff_at`` returns, ``tail_coeff * tail_ratio**j`` at
-        n = N + j, computed inline, so each sum keeps its bits without a
-        call per term.
-        """
-        n = len(self.head_coeffs)
-        mid = max(start, min(n, stop))
-        for k in range(start, mid):
-            acc += self.coeff_at(k) * prefix[k]
-        b, r = self.tail_coeff, self.tail_ratio
-        for j, v in enumerate(prefix[mid:stop], mid - n):
-            acc += b * r**j * v
-        return acc
 
     def _plus_tail(self, acc: float, t: float, m: int) -> float:
         """``acc + t * tail_sum_from(m)``, where a zero ``t`` adds nothing to a tail sum that is not finite.
@@ -419,18 +412,7 @@ class _LinearRun(SeqMap):
         self.coeffs: list[float] = []
 
     def eval(self, x: BoundedSeq) -> float:
-        return self.f._sum(x, self._add_terms)
-
-    def _add_terms(self, acc: float, prefix: tuple[float, ...], start: int, stop: int) -> float:
-        """``acc`` plus ``coeffs[n] * prefix[n]`` for n from ``start`` to ``stop - 1``, left to right.
-
-        The table first grows to ``stop`` entries, one :meth:`LinearSeqMap.coeff_at` call per new index.
-        """
-        coeffs = self.coeffs
-        coeffs.extend(map(self.f.coeff_at, range(len(coeffs), stop)))
-        for b, v in zip(coeffs[start:stop], prefix[start:stop]):
-            acc += b * v
-        return acc
+        return self.f._sum(x, self.coeffs)
 
 
 @dataclass(frozen=True)

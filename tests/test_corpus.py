@@ -3,9 +3,9 @@
 ``tests/data/corpus_pinned.json`` holds each map's fields, every float as
 ``float.hex``, one map per line. The test draws the maps again from the
 seed and recomputes every field, so a change that moves one bit of a
-certificate, a constant, a bound, a solve or a lifted run fails here. A
-change that moves a value on purpose regenerates the file once, from the
-repository root::
+certificate, a constant, a bound, an evaluation, a solve or a lifted run
+fails here. A change that moves a value on purpose regenerates the file
+once, from the repository root::
 
     PYTHONPATH=src python tests/test_corpus.py
 
@@ -47,6 +47,8 @@ FAMILIES = ((0.9, None), (0.5, 1.0), (0.5, 2.0))
 EMPIRICAL_TRIALS = 50
 SOLVE_TOL = 1e-6
 ITERATES = 200
+#: entries of the seeded sequence each map is evaluated at, besides its start
+EVAL_ENTRIES = 300
 
 
 def hexes(values):
@@ -115,6 +117,14 @@ def build(p: dict):
     return truncate(build(p["of"]), p["n"], float.fromhex(p["base"]))
 
 
+def _eval_point(index: int) -> BoundedSeq:
+    """:data:`EVAL_ENTRIES` entries and a tail drawn from ``index``, each a signed zero one time in five."""
+    rng = random.Random(index)
+    *prefix, tail = [(0.0 if rng.random() < 0.5 else -0.0) if rng.random() < 0.2 else _signed(rng, 1.0)
+                     for _ in range(EVAL_ENTRIES + 1)]
+    return BoundedSeq(tuple(prefix), tail)
+
+
 def _iterates(f, x0: BoundedSeq) -> dict:
     """The hex of the first :data:`ITERATES` values, the text of a ``ValueError`` where one is raised, as a digest."""
     out = []
@@ -140,6 +150,7 @@ def fields(p: dict, index: int) -> dict:
         "truncation_hint": [None if h is None else h.hex() for h in map(f.truncation_hint, HINT_ARITIES)],
         "empirical": hexes(_lip_lower_bounds(f, FAMILIES, EMPIRICAL_TRIALS, index)),
         "iterates": _iterates(f, x0),
+        "eval": hexes((f.eval(x0), f.eval(_eval_point(index)))),
     }
     if index % 4 == 0 and sup is not None:
         try:

@@ -272,10 +272,10 @@ class ReadCountingTuple(tuple):
 
 @pytest.mark.parametrize("head, tail, ratio, offset, calls, reads", [
     ((0.49, 0.49), 0.0, 0.0, 1.0, 2, 2),  # the zero tail coefficient leaves the head
-    ((0.5,), 0.25, 0.0, 0.0, 1, 2),  # the zero ratio leaves the head and the first tail coefficient
-    ((0.5,), 0.25, 0.5, 0.0, 1, 2000),  # a tail reaches every coordinate
+    ((0.5,), 0.25, 0.0, 0.0, 2, 2),  # the zero ratio leaves the head and the first tail coefficient
+    ((0.5,), 0.25, 0.5, 0.0, 2000, 2000),  # a tail reaches every coordinate
 ], ids=["zero-tail", "zero-ratio", "tailed"])
-def test_eval_reads_the_live_coordinates_and_only_the_head_through_coeff_at(
+def test_eval_reads_each_live_coordinate_and_its_coefficient_through_coeff_at_once(
         monkeypatch, head, tail, ratio, offset, calls, reads):
     monkeypatch.setattr(CoeffCountingMap, "calls", 0)
     f = CoeffCountingMap(head, tail, ratio, offset)
