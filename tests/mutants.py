@@ -33,6 +33,7 @@ AT_CAP = "tests/test_solver.py::test_the_at_cap_allowance_separates_a_return_fro
 OUT_OF_RANGE = "tests/test_solver.py::test_out_of_range_arguments_raise"
 CAPPED_RUN = "tests/test_truncation.py::test_a_run_that_reaches_its_cap_returns_the_enclosure_midpoint"
 P1_WITNESS = "tests/test_maps.py::test_one_p1_witness_gives_the_bound_of_every_unit_vector"
+HEAD_READS = "tests/test_maps.py::test_eval_reads_the_live_coordinates_and_only_the_head_through_coeff_at"
 LIVE_READS = "tests/test_maps.py::test_eval_reads_each_live_coordinate_and_its_coefficient_through_coeff_at_once"
 UNWEIGHED = "tests/test_maps.py::test_an_overflow_the_map_does_not_weigh_adds_nothing"
 RUN_READS = "tests/test_maps.py::test_a_run_reads_each_live_coefficient_once_and_lifts_as_the_full_loop"
@@ -116,11 +117,11 @@ MUTANTS = [
     ("a zero tail ratio drops the first tail coefficient", MAPS,
      "return min(m, n + 1)",
      "return min(m, n)",
-     [LIVE_READS]),
+     [HEAD_READS]),
     ("eval and the run read past the live count", MAPS,
      "live = self._live_terms(m)",
      "live = m",
-     [LIVE_READS, f"{RUN_READS}[zero-tail]"]),
+     [HEAD_READS, f"{RUN_READS}[zero-tail]"]),
     ("eval and the run skip the zero-sum re-read", MAPS,
      "        if acc == 0.0:\n            acc = self._add_products(acc, prefix, coeffs, live, m)\n",
      "",
@@ -137,7 +138,7 @@ MUTANTS = [
     ("eval's table starts with a b_0 of 0.0", MAPS,
      "return self._sum(x, [])",
      "return self._sum(x, [0.0])",
-     [f"{LIVE_READS}[zero-tail]", "tests/test_maps.py::test_a_vanishing_tail_reads_the_head_and_keeps_every_bit"]),
+     [f"{HEAD_READS}[zero-tail]", "tests/test_maps.py::test_a_vanishing_tail_reads_the_head_and_keeps_every_bit"]),
     ("the p = 1 witness takes the last maximum", MAPS,
      "depths = (k for k in range(_WITNESS_DEPTH + 1) if q**k > 0.0)",
      "depths = (k for k in reversed(range(_WITNESS_DEPTH + 1)) if q**k > 0.0)",

@@ -270,13 +270,8 @@ class ReadCountingTuple(tuple):
         return super().__getitem__(key)
 
 
-@pytest.mark.parametrize("head, tail, ratio, offset, calls, reads", [
-    ((0.49, 0.49), 0.0, 0.0, 1.0, 2, 2),  # the zero tail coefficient leaves the head
-    ((0.5,), 0.25, 0.0, 0.0, 2, 2),  # the zero ratio leaves the head and the first tail coefficient
-    ((0.5,), 0.25, 0.5, 0.0, 2000, 2000),  # a tail reaches every coordinate
-], ids=["zero-tail", "zero-ratio", "tailed"])
-def test_eval_reads_each_live_coordinate_and_its_coefficient_through_coeff_at_once(
-        monkeypatch, head, tail, ratio, offset, calls, reads):
+def check_eval_reads(monkeypatch, head, tail, ratio, offset, calls, reads):
+    """Evaluate at a 2000-entry prefix; pin the ``coeff_at`` calls and coordinate reads, and the full loop's bits."""
     monkeypatch.setattr(CoeffCountingMap, "calls", 0)
     f = CoeffCountingMap(head, tail, ratio, offset)
     prefix = ReadCountingTuple(float(n + 1) for n in range(2000))
@@ -285,6 +280,24 @@ def test_eval_reads_each_live_coordinate_and_its_coefficient_through_coeff_at_on
     assert (CoeffCountingMap.calls, len(prefix.reads)) == (calls, reads)
     x = BoundedSeq(tuple(prefix), 0.0)
     assert value.hex() == full_loop_eval(LinearSeqMap(head, tail, ratio, offset), x).hex()
+
+
+@pytest.mark.parametrize("head, tail, ratio, offset, calls, reads", [
+    ((0.49, 0.49), 0.0, 0.0, 1.0, 2, 2),  # the zero tail coefficient leaves the head
+    ((0.5,), 0.25, 0.0, 0.0, 2, 2),  # the zero ratio leaves the head and the first tail coefficient
+], ids=["zero-tail", "zero-ratio"])
+def test_eval_reads_the_live_coordinates_and_only_the_head_through_coeff_at(
+        monkeypatch, head, tail, ratio, offset, calls, reads):
+    """Coefficients that vanish past a finite head: ``eval`` reads that head and its coordinates, nothing past it."""
+    check_eval_reads(monkeypatch, head, tail, ratio, offset, calls, reads)
+
+
+@pytest.mark.parametrize("head, tail, ratio, offset, calls, reads", [
+    ((0.5,), 0.25, 0.5, 0.0, 2000, 2000),  # a tail reaches every coordinate
+], ids=["tailed"])
+def test_eval_reads_each_live_coordinate_and_its_coefficient_through_coeff_at_once(
+        monkeypatch, head, tail, ratio, offset, calls, reads):
+    check_eval_reads(monkeypatch, head, tail, ratio, offset, calls, reads)
 
 
 class FullLoopMap(LinearSeqMap):
