@@ -20,8 +20,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from types import MappingProxyType
 
-from .maps import FiniteArityMap, LinearSeqMap, SeqMap, SupHalfMap, _lip_lower_bounds
-from .sequences import BoundedSeq, _left_sum, ensure_finite
+from .maps import LinearSeqMap, SeqMap, SupHalfMap, _lip_lower_bounds
+from .sequences import BoundedSeq, ensure_count, ensure_finite
 from .solver import (
     BoundViolationError,
     IterationTrace,
@@ -191,17 +191,7 @@ def _normalize_presic(params: dict) -> dict:
     if arity != len(coeffs):
         raise ConfigError("presic arity must match len(coeffs)")
     offset = _number(params.get("offset", 0.0), "offset")
-    return {"rule": "affine", "arity": arity, "coeffs": coeffs, "offset": offset}
-
-
-def _build_presic(params: dict) -> SeqMap:
-    coeffs = params["coeffs"]
-    offset = params["offset"]
-
-    def rule(*args: float) -> float:
-        return _left_sum(c * a for c, a in zip(coeffs, args)) + offset
-
-    return FiniteArityMap(len(coeffs), rule, _left_sum(map(abs, coeffs)))
+    return {"rule": "affine", "arity": ensure_count(arity, "arity", 1), "coeffs": coeffs, "offset": offset}
 
 
 #: map kind -> (its parameter keys, normalize its parameters, build the map from them)
@@ -209,7 +199,8 @@ _MAP_KINDS = {
     "linear": (("head_coeffs", "tail_coeff", "tail_ratio", "offset"), _normalize_linear,
                lambda params: LinearSeqMap(**params)),
     "sup_half": ((), lambda params: {}, lambda params: SupHalfMap()),
-    "presic": (("rule", "arity", "coeffs", "offset"), _normalize_presic, _build_presic),
+    "presic": (("rule", "arity", "coeffs", "offset"), _normalize_presic,
+               lambda params: LinearSeqMap(params["coeffs"], offset=params["offset"])),
 }
 
 

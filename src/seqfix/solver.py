@@ -449,10 +449,11 @@ def solve_fixed_point(
     The smallest count whose a priori bound is at most ``tol`` caps the
     run, and a plan over :data:`_STEP_BUDGET` is refused before any step.
     A run that reaches the cap double-checks its terminal residual against
-    what the certificate permits, ``tol·(1 + c)/(1 - c)``, plus roundoff
-    ``(1 + c)·δ/(1 - sf) + δ`` for the step factor sf; a violation, NaN
-    included, means the certificate was invalid for ``f`` (or a bug) and
-    raises :class:`BoundViolationError`, and only roundoff ``ValueError``.
+    what the certificate permits, ``tol·(1 + c)`` for an iterate within
+    ``tol`` of t*, plus roundoff ``(1 + c)·δ/(1 - sf) + δ`` for the step
+    factor sf; a violation, NaN included, means the certificate was invalid
+    for ``f`` (or a bug) and raises :class:`BoundViolationError`, and only
+    roundoff ``ValueError``.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -468,7 +469,7 @@ def solve_fixed_point(
         if residual + roundoff <= room:
             break
     else:
-        allowance = tol * (1.0 + c) / (1.0 - c)
+        allowance = tol * (1.0 + c)
         slack = (1.0 + c) * roundoff / (1.0 - cert.step_factor()) + roundoff
         if not residual <= allowance + slack:
             raise BoundViolationError(

@@ -87,12 +87,16 @@ MUTANTS = [
      "if lip_general <= 0.0:",
      ["tests/test_solver.py::test_reduce_general_weights"]),
     ("the at-cap allowance multiplies by (1 - c)", SOLVER,
-     "allowance = tol * (1.0 + c) / (1.0 - c)",
-     "allowance = tol * (1.0 - c) / (1.0 - c)",
+     "allowance = tol * (1.0 + c)",
+     "allowance = tol * (1.0 - c)",
      [AT_CAP]),
     ("the at-cap allowance divides by (1 + c)", SOLVER,
+     "allowance = tol * (1.0 + c)",
+     "allowance = tol / (1.0 + c)",
+     [AT_CAP]),
+    ("the at-cap allowance divides by (1 - c) as well", SOLVER,
+     "allowance = tol * (1.0 + c)",
      "allowance = tol * (1.0 + c) / (1.0 - c)",
-     "allowance = tol * (1.0 + c) / (1.0 + c)",
      [AT_CAP]),
     ("the at-cap slack multiplies by (1 - c)", SOLVER,
      "slack = (1.0 + c) * roundoff / (1.0 - cert.step_factor()) + roundoff",

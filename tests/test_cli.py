@@ -250,7 +250,7 @@ ENTRY_ERRORS = MALFORMED_VALUES + [
     (problem("presic-arity-mismatch", "solve", map={
         "presic": {"rule": "affine", "coeffs": [0.25, 0.25], "arity": 3, "offset": 1.0}}),
      "presic arity must match len(coeffs)"),
-    # the two checks that the map constructors make, LinearSeqMap's and FiniteArityMap's
+    # LinearSeqMap's own check, and the arity check that a presic map shares with FiniteArityMap
     (problem("linear-unit-ratio", "solve", map={
         "linear": {"head_coeffs": [0.5], "tail_coeff": 0.1, "tail_ratio": -1.0}}), "|tail_ratio| must be < 1"),
     (problem("presic-no-coeffs", "solve", map={"presic": {"rule": "affine", "coeffs": [], "offset": 1.0}}),
@@ -671,11 +671,14 @@ def test_certify_rows_equal_one_empirical_bound_per_family(tmp_path, capsys):
 
 
 def test_certify_rows_are_never_below_their_empirical_bound(tmp_path, capsys):
-    # at q0 = 0.25 the tied map's p = 2 series terms of b_0 and of the tail are equal; its lip must count both
+    # at q0 = 0.25 the tied map's p = 2 series terms of b_0 and of the tail are equal; its lip must count both.
+    # A presic map is the linear map of its coeffs, so it has power constants and writes a p row too
     tied = {"linear": {"head_coeffs": [0.5], "tail_coeff": 0.25, "tail_ratio": 0.1, "offset": 1.0}}
-    config = write_config(tmp_path, [problem("recur", "certify", q0=0.5), problem("tied", "certify", map=tied, q0=0.25)])
+    presic = {"presic": {"rule": "affine", "coeffs": [0.25, 0.25], "offset": 1.0}}
+    config = write_config(tmp_path, [problem("recur", "certify", q0=0.5), problem("tied", "certify", map=tied, q0=0.25),
+                                     problem("presic", "certify", map=presic, q0=0.5)])
     assert run(config, str(tmp_path / "out")) == EXIT_OK
-    for pid in ("recur", "tied"):
+    for pid in ("recur", "tied", "presic"):
         rows = [row.split(",") for row in (tmp_path / "out" / f"{pid}.csv").read_text().splitlines()[1:]]
         assert [row[0] for row in rows] == ["sup", "p"]
         for family, _, _, lip, lower in rows:
@@ -716,16 +719,12 @@ def test_certify_takes_one_difference_per_drawn_pair(tmp_path, capsys, monkeypat
 
 
 def test_certify_with_q0_on_maps_without_power_constants(tmp_path, capsys):
-    presic = {"presic": {"rule": "affine", "coeffs": [0.25, 0.25], "offset": 1.0}}
     config = write_config(tmp_path, [
-        problem("presic", "certify", map=presic, q0=0.5),
         problem("half", "certify", map={"sup_half": {}}, initial={"prefix": [], "tail": 0.5}, q0=0.5),
     ])
     assert run(config, str(tmp_path / "out")) == EXIT_OK
-    rows = (tmp_path / "out" / "presic.csv").read_text().splitlines()
-    assert [r.split(",")[0] for r in rows[1:]] == ["sup"]
     assert (tmp_path / "out" / "half.csv").read_text() == "family,q,p,lip,empirical_lower_bound\n"
-    assert capsys.readouterr().out.splitlines()[1] == "half certify UNCERTIFIED"
+    assert capsys.readouterr().out == "half certify UNCERTIFIED\n"
 
 
 GOLDEN = Path(__file__).parent / "data" / "cli_batch_seed0"
@@ -779,9 +778,9 @@ def test_presic_hint_that_rounds_to_one_fails_only_the_solve(tmp_path, capsys):
         return {"presic": {"rule": "affine", "coeffs": coeffs, "offset": 0.0}}
 
     config = write_config(tmp_path, [
-        # hint 1 - 2**-53: its q rounds to 1.0
+        # sum |c| = 1 - 2**-53: the sup constant 0.5 + 0.4999999999999999 / q rounds to 1.0 at every q < 1
         problem("edge-solve", "solve", map=presic([0.5, 0.4999999999999999])),
-        # certified at arity 2; the arity-3 truncation's own q rounds to 1.0, so it plans with the map's
+        # sum |c| = 1 - 2**-52 is certified at q = 1 - 2**-53; each truncation plans with that certificate's lip
         problem("edge-truncate", "truncate", map=presic([0.5, 0.4999999999999998]), n_max=3, base=0.0),
     ])
     assert run(config, str(tmp_path / "out")) == EXIT_UNCERTIFIED
@@ -791,11 +790,48 @@ def test_presic_hint_that_rounds_to_one_fails_only_the_solve(tmp_path, capsys):
     ]
 
 
-def test_a_presic_map_is_the_finite_arity_map_and_sums_left_to_right():
-    g = _MAP_KINDS["presic"][2]({"rule": "affine", "arity": 3, "coeffs": [1e16, 1.0, 1.0], "offset": 0.0})
-    assert type(g) is FiniteArityMap
+def test_a_presic_map_is_the_linear_map_of_its_coeffs_and_sums_left_to_right():
+    g = _MAP_KINDS["presic"][2]({"rule": "affine", "arity": 3, "coeffs": (1e16, 1.0, 1.0), "offset": 0.0})
+    assert g == LinearSeqMap((1e16, 1.0, 1.0))
     # each 1e16 + 1.0 is a tie that rounds back to 1e16, where compensated summation gives 1e16 + 2
-    assert g.lipschitz_hint == g(1.0, 1.0, 1.0) == 1e16
+    assert g.lip_sup(1.0) == g.eval(BoundedSeq((1.0, 1.0, 1.0))) == 1e16
+
+
+@st.composite
+def affine_presic_specs(draw):
+    """Arity 1-5 signed coefficients scaled to a sum of |c| in [0.3, 0.95], and an offset in [-3, 3]."""
+    raw = draw(st.lists(st.floats(min_value=-1.0, max_value=1.0).filter(lambda c: abs(c) >= 1e-3),
+                        min_size=1, max_size=5))
+    scale = draw(st.floats(min_value=0.3, max_value=0.95)) / sum(map(abs, raw))
+    return {"rule": "affine", "coeffs": [c * scale for c in raw],
+            "offset": draw(st.floats(min_value=-3.0, max_value=3.0))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(affine_presic_specs())
+def test_random_affine_presic_specs_solve_and_certify_no_worse_than_the_max_metric_hint(spec):
+    tol = 1e-6
+    problems = [problem("solve", "solve", map={"presic": spec}, tolerance=tol),
+                problem("certify", "certify", map={"presic": spec}, q0=0.5)]
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"problems": problems}))
+        assert [p.build_map() for p in parse_config(config.read_text())] == [LinearSeqMap(tuple(spec["coeffs"]),
+                                                                                         offset=spec["offset"])] * 2
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(str(config), str(Path(tmp) / "out")) == EXIT_OK
+        x_star = float((Path(tmp) / "out" / "solve.csv").read_text().splitlines()[-1].split(",")[1])
+        rows = [row.split(",") for row in (Path(tmp) / "out" / "certify.csv").read_text().splitlines()[1:]]
+    coeffs, offset = spec["coeffs"], spec["offset"]
+    assert abs(x_star - offset / (1.0 - sum(coeffs))) <= tol
+    # the reference: the same rule certified through one max-metric constant, sum |c| / q**(m - 1)
+    m = len(coeffs)
+    hinted = find_sup_certificate(FiniteArityMap(m, lambda *a: sum(c * x for c, x in zip(coeffs, a)) + offset,
+                                                 sum(map(abs, coeffs))))
+    assert [row[0] for row in rows] == ["sup", "p"]
+    assert float(rows[0][1]) <= hinted.q + 2.0**-53
+    for family, _, _, lip, lower in rows:
+        assert float(lower) <= float(lip) * (1 + 1e-12), (family, lip, lower)
 
 
 def test_start_too_far_from_its_image_exits_2(tmp_path):

@@ -541,21 +541,23 @@ def test_residual_above_the_roundoff_floor_is_still_a_violation():
 
 
 @pytest.mark.parametrize("start, outcome", [
-    (0.02, "returns"),  # residual above tol, within the allowance
-    (0.020634920634921, "below resolution"),  # residual within the slack, 2.375δ above the allowance
+    (0.0135, "returns"),  # residual above tol, within the allowance
+    (0.014444444444444602, "below resolution"),  # residual within the slack, 2.09δ above the allowance
+    (0.02, "violation"),  # residual 1.8·tol, which an allowance of tol·(1 + c)/(1 - c) would return, 18·tol from t*
     (0.022, "violation"),  # residual above the allowance plus slack
 ])
 def test_the_at_cap_allowance_separates_a_return_from_roundoff_and_a_violation(start, outcome):
     # t -> 0.9·t under a certificate claiming 0.3: from each start the plan is one step, the cap, and the
     # residual there, 0.09·start, lands in its band; a slack cut to 2δ or less would call the middle band a
-    # violation, and an allowance cut to tol would refuse the first
+    # violation, and an allowance cut to tol would refuse the first. A valid certificate puts the capped
+    # iterate within tol of t*, and its residual within tol·(1 + c)
     f = embed_finite(FiniteArityMap(1, lambda t: 0.9 * t))
     cert, tol, c = SupCertificate(0.3, 0.3), 1e-3, 0.3
     x0 = BoundedSeq.constant(start)
     v = 0.9 * start
     residual = abs(0.9 * v - v)
     delta = _ROUNDOFF_ULPS * math.ulp(v)
-    allowance = tol * (1.0 + c) / (1.0 - c)
+    allowance = tol * (1.0 + c)
     slack = (1.0 + c) * delta / (1.0 - cert.step_factor()) + delta
     assert {
         "returns": tol < residual <= allowance,
